@@ -4,15 +4,17 @@ A qutrit with thermal initialization (T=1) and noisy cascade readout
 (b0=0.01, b1=0.02) is calibrated two ways:
 
 * the general diagonal fit estimates all populations and the full
-  response matrix from d population-transfer circuits; its individual
-  parameters are gauge-ambiguous, but its predicted probabilities are
-  not, so the fit is judged by predictive residual;
+  response matrix from d population-transfer circuits.  Its maximizers
+  form a flat set of dimension d - 1, of which the depolarizing gauge is
+  one direction; the fit returns the member with the most faithful
+  readout (largest tr B) in closed form.  Its individual parameters are
+  therefore not identified, but its predicted probabilities are, so the
+  fit is judged by predictive residual;
 * the Gibbs fit estimates just (T, b0, b1) from single-level read
-  statistics, a three-parameter family with no gauge freedom, so the
-  parameters themselves are recovered.
+  statistics by a profile likelihood.  This three-parameter family has
+  no gauge freedom, so the parameters themselves are recovered.
 
-Both fits use a seeded genetic search plus a local polish and take a
-few seconds each.
+Both fits are deterministic and take well under a second.
 """
 
 import numpy as np
@@ -39,7 +41,7 @@ print(f"  fitted populations: {np.round(fit.estimate.populations, 4)}")
 print(f"  fitted response:\n{np.round(fit.estimate.response, 4)}")
 print(f"  max |predicted - true| probability: "
       f"{np.max(np.abs(predicted - true_probs)):.2e}")
-print("  (populations and response are only defined up to a gauge;")
+print("  (populations and response are only defined up to a flat set;")
 print("   the residual above is the meaningful figure)")
 
 # --- thermal three-parameter fit -------------------------------------

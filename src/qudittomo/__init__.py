@@ -60,11 +60,9 @@ from .sim import (
 from .recon import (
     FitReport,
     MeasurementModel,
-    OptimizerConfig,
     build_measurement_model,
     estimate_spam_general,
     estimate_spam_gibbs,
-    genetic_optimize,
     mle_process,
     mle_state,
     mle_state_pure,

@@ -9,8 +9,10 @@ false-positive rate b1 (an empty level clicks).
 Preparation errors are modeled by a diagonal initial state; thermal
 initialization assigns Boltzmann weights exp(-omega_j / T) to the levels.
 Diagonal preparation and readout errors together form a d^2 - 1 parameter
-model that is identifiable from calibration data only up to a depolarizing
-gauge, realized here by `gauge_transform`.
+model.  Its d calibration circuits determine only d(d - 1) frequencies, so
+the model is identifiable from calibration data only up to a flat set of
+dimension d - 1; the depolarizing gauge realized by `gauge_transform` is
+one direction of it.
 """
 
 from dataclasses import dataclass

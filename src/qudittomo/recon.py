@@ -4,14 +4,19 @@ A reconstruction model pairs each circuit with effective measurement
 operators computed from assumed preparation and readout (ideal by
 default, or any DiagonalSpamModel).  States are fitted by a diluted
 fixed-point iteration, processes by projected gradient ascent on the
-Choi matrix, and SPAM calibration parameters by a genetic search over
-the likelihood followed by a local polish.
+Choi matrix, and SPAM calibration parameters by structured solves: a
+closed form for the general diagonal model and a profile likelihood for
+the thermal one.
 
-The calibration likelihood is invariant under `readout.gauge_transform`:
-moving a depolarizing factor between preparation and readout changes no
-circuit probability, so fitted diagonal models are only determined up to
-that gauge.  The thermally constrained fit does not share the flat
-direction, which is what makes it useful.
+The general diagonal model has d^2 - 1 parameters, but its d
+calibration circuits determine only d(d - 1) frequencies, so its
+maximum-likelihood fits form a flat set of dimension d - 1.  Moving a
+depolarizing factor between preparation and readout
+(`readout.gauge_transform`) is one direction of that set; only the
+predicted probabilities are identified, not (a, B) themselves.
+`estimate_spam_general` returns the member of the set with the largest
+tr B.  The thermally constrained fit has no flat direction, which is
+what makes it useful.
 """
 
 from dataclasses import dataclass, field
@@ -402,116 +407,79 @@ def mle_process(data, model, tol=1e-10, max_iter=10000):
     )
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Genetic-search settings.
+def _stop_reason(status, max_iter_status):
+    """Map a scipy optimizer status to tol, max_iter or stalled."""
+    if status == 0:
+        return "tol"
+    return "max_iter" if status == max_iter_status else "stalled"
 
-    Mutation is Gaussian with width mutation_scale * (box width), annealed
-    geometrically down to mutation_floor times the initial width over the
-    generation budget.  `tol` > 0 stops a restart early when the best
-    objective has not improved by more than tol for `patience` generations.
+
+def _calibration_maps(dim, gate_depol_p):
+    """Affine action of the calibration circuits on diagonal states.
+
+    Circuit j sends populations a to v_j = maps[j] @ a + offsets[j]: the
+    swap 0 <-> j, followed for j > 0 by the gate's depolarizing pull
+    toward uniform.
     """
-
-    population: int = 60
-    generations: int = 300
-    elite_frac: float = 0.1
-    mutation_scale: float = 0.1
-    mutation_floor: float = 1e-3
-    blend_alpha: float = 0.5
-    tournament: int = 3
-    restarts: int = 5
-    seed: int = 0
-    tol: float = 0.0
-    patience: int = 50
-
-    def __post_init__(self):
-        if self.population < 2 or self.generations < 1 or self.restarts < 1:
-            raise ValueError("population, generations and restarts must be positive")
-        if not 0.0 <= self.elite_frac < 1.0:
-            raise ValueError(f"elite_frac must lie in [0, 1), got {self.elite_frac}")
+    maps = np.empty((dim, dim, dim))
+    offsets = np.zeros((dim, dim))
+    for j in range(dim):
+        perm = np.arange(dim)
+        perm[[0, j]] = perm[[j, 0]]
+        maps[j] = np.eye(dim)[perm]
+        if j > 0:
+            maps[j] *= 1.0 - gate_depol_p
+            offsets[j] = gate_depol_p / dim
+    return maps, offsets
 
 
-def genetic_optimize(objective, bounds, config=None):
-    """Maximize `objective` over a box by a seeded genetic search.
+def _em_response(counts, transfer, response, tol=1e-12, max_iter=10000):
+    """Readout B maximizing sum_jk n_jk log (B v_j)_k at fixed populations.
 
-    Tournament selection, blend crossover, annealed Gaussian mutation and
-    elitism, restarted `config.restarts` times from independent child
-    streams.  Deterministic in (objective, bounds, config).  Returns
-    (best_x, best_value) of the best candidate ever evaluated.
+    `transfer` holds the columns v_j.  The likelihood is concave in the
+    column-stochastic B, and the EM update
+    B_km <- B_km sum_j v_j[m] n_jk / (B v_j)_k, renormalized per column,
+    never lowers it.  A column no shot informs is left as it is.  Stops
+    when the gain drops below `tol` per shot.  Returns
+    (B, iterations, stop_reason).
     """
-    config = config or OptimizerConfig()
-    bounds = np.asarray(bounds, dtype=float)
-    if bounds.ndim != 2 or bounds.shape[1] != 2:
-        raise ValueError(f"bounds must be (n, 2), got shape {bounds.shape}")
-    lo, hi = bounds[:, 0], bounds[:, 1]
-    if not np.all(np.isfinite(bounds)) or np.any(lo >= hi):
-        raise ValueError("bounds must be finite with lower < upper")
-    ndim = bounds.shape[0]
-    width = hi - lo
-    n_elite = max(1, int(round(config.elite_frac * config.population)))
-    best_x, best_f = None, -np.inf
-    for restart in range(config.restarts):
-        rng = qcore.make_rng(config.seed, "genetic-restart", restart)
-        pop = lo + rng.uniform(size=(config.population, ndim)) * width
-        fvals = np.array([objective(x) for x in pop])
-        stall_best, stall = np.max(fvals), 0
-        for gen in range(config.generations):
-            order = np.argsort(fvals)[::-1]
-            pop, fvals = pop[order], fvals[order]
-            if fvals[0] > best_f:
-                best_f, best_x = float(fvals[0]), pop[0].copy()
-            if config.tol > 0:
-                if fvals[0] > stall_best + config.tol:
-                    stall_best, stall = fvals[0], 0
-                else:
-                    stall += 1
-                    if stall >= config.patience:
-                        break
-            frac = gen / max(config.generations - 1, 1)
-            sigma = config.mutation_scale * width * config.mutation_floor ** frac
-            children = np.empty((config.population - n_elite, ndim))
-            for i in range(children.shape[0]):
-                picks = rng.integers(0, config.population, size=config.tournament)
-                p1 = pop[picks[np.argmax(fvals[picks])]]
-                picks = rng.integers(0, config.population, size=config.tournament)
-                p2 = pop[picks[np.argmax(fvals[picks])]]
-                c_lo = np.minimum(p1, p2) - config.blend_alpha * np.abs(p1 - p2)
-                c_hi = np.maximum(p1, p2) + config.blend_alpha * np.abs(p1 - p2)
-                children[i] = c_lo + rng.uniform(size=ndim) * (c_hi - c_lo)
-            children += rng.standard_normal(children.shape) * sigma
-            np.clip(children, lo, hi, out=children)
-            child_f = np.array([objective(x) for x in children])
-            pop = np.vstack([pop[:n_elite], children])
-            fvals = np.concatenate([fvals[:n_elite], child_f])
-        order = np.argmax(fvals)
-        if fvals[order] > best_f:
-            best_f, best_x = float(fvals[order]), pop[order].copy()
-    return best_x, best_f
+    counts_t = counts.T
+    seen = counts_t > 0
+    n_total = counts.sum()
+    ll = -np.inf
+    for iterations in range(1, max_iter + 1):
+        pred = response @ transfer
+        ll_new = float(np.sum(counts_t[seen] * np.log(pred[seen])))
+        if ll_new - ll < tol * n_total:
+            return response, iterations, "tol"
+        ll = ll_new
+        ratio = np.divide(counts_t, pred, out=np.zeros_like(pred), where=seen)
+        weight = response * (ratio @ transfer.T)
+        total = weight.sum(axis=0)
+        response = np.divide(weight, total, out=response.copy(), where=total > 0)
+    return response, max_iter, "max_iter"
 
 
-def _polish(objective, x0, bounds):
-    """Local Nelder-Mead refinement of a genetic-search result."""
-    res = scipy.optimize.minimize(
-        lambda x: -objective(x), x0, method="Nelder-Mead", bounds=bounds,
-        options={"xatol": 1e-9, "fatol": 1e-9, "maxiter": 4000, "maxfev": 8000})
-    return res.x, -res.fun
-
-
-def _softmax(z):
-    w = np.exp(z - z.max())
-    return w / w.sum()
-
-
-def estimate_spam_general(data, gate_depol_p=0.0, config=None):
+def estimate_spam_general(data, gate_depol_p=0.0):
     """Fit the full diagonal preparation-and-readout model to calibration counts.
 
     `data` holds counts of the `spam_calibration_circuits` family: circuit
     0 is gate free, circuit j applies one R_x(pi) on levels (0, j), which
-    on a diagonal state just swaps populations 0 <-> j.  Populations and
-    response columns are parametrized through softmax, so every candidate
-    is a valid model; the likelihood is maximized by `genetic_optimize`
-    plus a local polish.  The result is gauge-ambiguous (see module notes):
-    only its predicted probabilities are identified, not (a, B) themselves.
+    on a diagonal state swaps populations 0 <-> j.  Circuit j predicts
+    F_j = B v_j(a) with v_j affine in the populations a, so for any a the
+    response B(a) = F^T V(a)^-1 reproduces the observed frequencies F
+    exactly, and every a with a >= 0 and B(a) >= 0 maximizes the
+    likelihood.  These maximizers form a set of dimension d - 1 (see the
+    module notes).  The fit returns the member with the largest tr B, the
+    most faithful readout, found by a constrained solve over a that
+    starts from ideal preparation e_0.
+
+    When no such a exists, typically because some outcome was never
+    observed, B is fitted by EM at the populations where the constrained
+    solve ended.  `diagnostics["branch"]` says which route was taken
+    ("closed_form" or "fallback"), and `diagnostics["min_response"]`
+    holds min B(a) before clipping, or None when a circuit has no shots
+    and B(a) is undefined.
     """
     counts = np.asarray(data.counts, dtype=float)
     dim = counts.shape[1]
@@ -523,52 +491,91 @@ def estimate_spam_general(data, gate_depol_p=0.0, config=None):
     if not 0.0 <= gate_depol_p <= 1.0:
         raise ValueError(f"gate_depol_p must lie in [0, 1], got {gate_depol_p}")
 
-    swaps = []
-    for j in range(dim):
-        perm = np.arange(dim)
-        if j > 0:
-            perm[[0, j]] = perm[[j, 0]]
-        swaps.append(perm)
+    maps, offsets = _calibration_maps(dim, gate_depol_p)
+    # a = (1 - sum(x), x); dmaps[j, :, i] = d v_j / d x_i
+    dmaps = maps[:, :, 1:] - maps[:, :, :1]
 
-    def model_probs(theta):
-        a = _softmax(theta[:dim])
-        b = np.apply_along_axis(_softmax, 0, theta[dim:].reshape(dim, dim))
-        rows = np.empty((dim, dim))
-        for j in range(dim):
-            v = a[swaps[j]]
-            if j > 0 and gate_depol_p:
-                v = (1.0 - gate_depol_p) * v + gate_depol_p / dim
-            rows[j] = b @ v
-        return rows, a, b
+    def populations(x):
+        return np.concatenate([[1.0 - x.sum()], x])
 
-    def objective(theta):
-        rows, _, _ = model_probs(theta)
-        return float(np.sum(counts * np.log(np.clip(rows, PROB_FLOOR, None))))
+    def transfer(a):
+        return (maps @ a + offsets).T
 
-    bounds = np.tile([-8.0, 8.0], (dim + dim * dim, 1))
-    cfg = config or OptimizerConfig()
-    x_best, _ = genetic_optimize(objective, bounds, cfg)
-    x_best, ll = _polish(objective, x_best, bounds)
-    probs, a, b = model_probs(x_best)
-    model = readout.DiagonalSpamModel(a, b)
-    report = FitReport(
-        estimate=model,
-        log_likelihood=ll,
-        iterations=cfg.restarts * cfg.generations,
-        converged=True,
+    x = np.zeros(dim - 1)
+    iterations = evaluations = 0
+    min_response = None
+    shots = counts.sum(axis=1)
+    if np.all(shots > 0):
+        freq = counts / shots[:, None]
+
+        def response(x):
+            vinv = np.linalg.inv(transfer(populations(x)))
+            return freq.T @ vinv, vinv
+
+        def negative_trace(x):
+            b, vinv = response(x)
+            return -np.trace(b), np.einsum("km,jmi,jk->i", b, dmaps, vinv)
+
+        def response_jacobian(x):
+            b, vinv = response(x)
+            return -np.einsum("km,jmi,jl->kli", b, dmaps, vinv).reshape(dim * dim, -1)
+
+        res = scipy.optimize.minimize(
+            negative_trace, x, jac=True, method="SLSQP",
+            bounds=[(0.0, 1.0)] * (dim - 1),
+            constraints=[
+                {"type": "ineq", "fun": lambda x: response(x)[0].ravel(),
+                 "jac": response_jacobian},
+                {"type": "ineq", "fun": lambda x: np.array([1.0 - x.sum()]),
+                 "jac": lambda x: -np.ones((1, dim - 1))}],
+            options={"ftol": 1e-12, "maxiter": 200})
+        x, iterations, evaluations = res.x, res.nit, res.nfev
+        stop_reason = _stop_reason(res.status, 9)
+        b = response(x)[0]
+        min_response = float(b.min())
+
+    a = np.clip(populations(x), 0.0, None)
+    a /= a.sum()
+    v = transfer(a)
+    # clipping entries of order -1e-9 moves no probability by more than that
+    feasible = min_response is not None and min_response >= -1e-9
+    branch = "closed_form" if feasible else "fallback"
+    if branch == "closed_form":
+        b = np.clip(b, 0.0, None)
+        b /= b.sum(axis=0)
+    else:
+        start = (np.eye(dim) if min_response is None
+                 else np.clip(b, 0.0, None)) + 1.0 / dim
+        start /= start.sum(axis=0)
+        b, em_iterations, stop_reason = _em_response(counts, v, start)
+        iterations += em_iterations
+        evaluations += em_iterations
+    probs = (b @ v).T
+    return FitReport(
+        estimate=readout.DiagonalSpamModel(a, b),
+        log_likelihood=float(np.sum(counts * np.log(np.clip(probs, PROB_FLOOR, None)))),
+        iterations=iterations,
+        converged=stop_reason == "tol",
         max_residual=_residual(probs, data),
-        diagnostics={"predicted_probs": probs},
+        diagnostics={"predicted_probs": probs, "branch": branch,
+                     "min_response": min_response, "evaluations": evaluations,
+                     "stop_reason": stop_reason},
     )
-    return report
 
 
-def estimate_spam_gibbs(data, omegas, config=None):
+def estimate_spam_gibbs(data, omegas):
     """Fit the thermal readout model (T, b0, b1) to single-level read counts.
 
     `data` holds binary counts (no-click, click) per level from
     `simulate_level_reads`; the click probability of level j is
     (1 - b0) a_j + b1 (1 - a_j) with thermal populations a(T).  Unlike the
     general diagonal fit this three-parameter family has no gauge freedom.
+
+    The fit maximizes the profile likelihood over T.  At fixed T the click
+    probabilities are affine in (b0, b1), so the likelihood is concave on
+    the [0, 0.5]^2 box and a bounded quasi-Newton solve with the analytic
+    gradient finds its maximum.  The profile over log T in [1e-6, 100] is
+    searched on a coarse grid and refined by bounded Brent.
     """
     counts = np.asarray(data.counts, dtype=float)
     omegas = np.asarray(omegas, dtype=float)
@@ -578,31 +585,51 @@ def estimate_spam_gibbs(data, omegas, config=None):
             f"expected binary counts for {dim} levels, got shape {counts.shape}")
     if counts.sum() <= 0:
         raise ValueError("dataset contains no counts")
+    dark, clicks = counts[:, 0], counts[:, 1]
+    n_total = counts.sum()
+    evaluations = 0
 
-    def click_probs(theta):
-        temp, b0, b1 = theta
-        a = readout.gibbs_populations(temp, omegas)
-        return (1.0 - b0) * a + b1 * (1.0 - a)
+    def fit_rates(log_temp):
+        """Concave (b0, b1) solve at T = exp(log_temp), per-shot objective."""
+        nonlocal evaluations
+        a = readout.gibbs_populations(np.exp(log_temp), omegas)
+        slopes = np.stack([-a, 1.0 - a], axis=1)
 
-    def objective(theta):
-        p = np.clip(click_probs(theta), PROB_FLOOR, 1.0 - PROB_FLOOR)
-        return float(np.sum(counts[:, 1] * np.log(p) + counts[:, 0] * np.log1p(-p)))
+        def negative_loglik(rates):
+            p = np.clip(a + slopes @ rates, PROB_FLOOR, 1.0 - PROB_FLOOR)
+            ll = clicks @ np.log(p) + dark @ np.log1p(-p)
+            grad = slopes.T @ (clicks / p - dark / (1.0 - p))
+            return -ll / n_total, -grad / n_total
 
-    bounds = np.array([[1e-6, 100.0], [0.0, 0.5], [0.0, 0.5]])
-    cfg = config or OptimizerConfig()
-    x_best, _ = genetic_optimize(objective, bounds, cfg)
-    x_best, ll = _polish(objective, x_best, bounds)
-    temp, b0, b1 = (float(v) for v in x_best)
-    p_fit = click_probs(x_best)
+        res = scipy.optimize.minimize(
+            negative_loglik, np.full(2, 0.25), jac=True, method="L-BFGS-B",
+            bounds=[(0.0, 0.5)] * 2,
+            options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 200})
+        evaluations += res.nfev
+        return res
+
+    grid = np.linspace(np.log(1e-6), np.log(100.0), 41)
+    i = int(np.argmin([fit_rates(t).fun for t in grid]))
+    outer = scipy.optimize.minimize_scalar(
+        lambda t: fit_rates(t).fun, method="bounded",
+        bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
+        options={"xatol": 1e-10, "maxiter": 500})
+    inner = fit_rates(outer.x)
+    temp = float(np.exp(outer.x))
+    b0, b1 = (float(v) for v in inner.x)
+    stop_reason = _stop_reason(outer.status, 1)
+    if stop_reason == "tol":
+        stop_reason = _stop_reason(inner.status, 1)
+    a = readout.gibbs_populations(temp, omegas)
+    p_fit = (1.0 - b0) * a + b1 * (1.0 - a)
     freq = data.frequencies()[:, 1]
     mask = data.shots > 0
-    report = FitReport(
+    return FitReport(
         estimate={"temperature": temp, "b0": b0, "b1": b1},
-        log_likelihood=ll,
-        iterations=cfg.restarts * cfg.generations,
-        converged=True,
+        log_likelihood=float(-inner.fun * n_total),
+        iterations=int(outer.nit),
+        converged=stop_reason == "tol",
         max_residual=float(np.max(np.abs(p_fit[mask] - freq[mask]))),
-        diagnostics={"populations": readout.gibbs_populations(temp, omegas),
-                     "predicted_click_probs": p_fit},
+        diagnostics={"populations": a, "predicted_click_probs": p_fit,
+                     "evaluations": evaluations, "stop_reason": stop_reason},
     )
-    return report

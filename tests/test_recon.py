@@ -1,4 +1,4 @@
-"""Reconstruction: state and process MLE, SPAM fits, genetic search.
+"""Reconstruction: state and process MLE, SPAM calibration fits.
 
 Exact-probability datasets (counts proportional to the model's own
 probabilities) isolate the optimizers from sampling noise and must be
@@ -7,6 +7,7 @@ behavior at fixed seeds.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -289,41 +290,36 @@ class TestCptpProjection:
             qcore.check_choi(out, atol_tp=1e-5)
 
 
-class TestGeneticOptimize:
-    def test_quadratic_bowl(self):
-        def objective(x):
-            return -float(np.sum((x - 0.3) ** 2))
+OMEGAS = {2: (0.0, 4.0), 3: (0.0, 4.0, 6.0), 5: (0.0, 4.0, 6.0, 7.0, 8.0)}
 
-        best_x, best_f = recon.genetic_optimize(
-            objective, np.tile([0.0, 1.0], (3, 1)))
-        assert np.max(np.abs(best_x - 0.3)) < 1e-3
-        assert best_f > -1e-5
 
-    def test_multimodal_against_grid_oracle(self):
-        def objective(x):
-            return float(np.sin(5 * x[0]) + x[0])
+def calibration_noise(dim):
+    return sim.NoiseConfig(gate_depol_p=0.001,
+                           init=sim.GibbsInit(1.0, OMEGAS[dim]),
+                           readout=sim.LevelReadoutError(0.01, 0.02))
 
-        grid = np.linspace(0, 2, 200_001)
-        oracle = float(np.max(np.sin(5 * grid) + grid))
-        _, best_f = recon.genetic_optimize(
-            objective, np.array([[0.0, 2.0]]),
-            recon.OptimizerConfig(restarts=10))
-        assert abs(best_f - oracle) < 1e-2
 
-    def test_deterministic_under_seed(self):
-        def objective(x):
-            return -float(np.sum(x ** 2))
+def exact_calibration(dim, shots=10 ** 6):
+    """Calibration counts equal to shots times the exact probabilities."""
+    circuits = protocols.spam_calibration_circuits(dim)
+    probs = np.stack([
+        sim.circuit_probabilities(c, None, calibration_noise(dim), check=False)
+        for c in circuits])
+    data = sim.CountsDataset("exact", tuple(c.label for c in circuits),
+                             np.full(dim, float(shots)), probs * shots, seed=0)
+    return data, probs
 
-        bounds = np.tile([-1.0, 1.0], (2, 1))
-        a = recon.genetic_optimize(objective, bounds)
-        b = recon.genetic_optimize(objective, bounds)
-        assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            recon.genetic_optimize(lambda x: 0.0, np.array([[1.0, 0.0]]))
-        with pytest.raises(ValueError):
-            recon.genetic_optimize(lambda x: 0.0, np.array([0.0, 1.0]))
+def calibration_transfer(populations, gate_depol_p, dim):
+    """Columns v_j: the populations seen by the readout in circuit j."""
+    cols = []
+    for j in range(dim):
+        v = np.array(populations, dtype=float)
+        if j > 0:
+            v[[0, j]] = v[[j, 0]]
+            v = (1.0 - gate_depol_p) * v + gate_depol_p / dim
+        cols.append(v)
+    return np.stack(cols, axis=1)
 
 
 def calibration_probs(model, gate_depol_p, dim):
@@ -333,14 +329,8 @@ def calibration_probs(model, gate_depol_p, dim):
     the diagonal toward uniform, then the response matrix maps levels to
     outcomes.
     """
-    rows = np.empty((dim, dim))
-    for j in range(dim):
-        v = model.populations.copy()
-        if j > 0:
-            v[[0, j]] = v[[j, 0]]
-            v = (1.0 - gate_depol_p) * v + gate_depol_p / dim
-        rows[j] = model.response @ v
-    return rows
+    return (model.response @ calibration_transfer(
+        model.populations, gate_depol_p, dim)).T
 
 
 class TestSpamGeneral:
@@ -366,6 +356,10 @@ class TestSpamGeneral:
             for c in circuits])
         predicted = np.asarray(report.diagnostics["predicted_probs"])
         assert np.max(np.abs(predicted - true_probs)) <= 0.01
+        diag = report.diagnostics
+        assert diag["branch"] == "closed_form" and abs(diag["min_response"]) < 1e-9
+        assert report.converged and diag["stop_reason"] == "tol"
+        assert report.iterations >= 1 and diag["evaluations"] >= 1
 
     def test_likelihood_is_flat_along_the_gauge(self):
         # moving depolarizing weight between preparation and readout
@@ -386,6 +380,97 @@ class TestSpamGeneral:
         gap = abs(loglik(truth) - loglik(moved)) / data.total_shots
         assert gap <= 1e-6
 
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_flat_set_has_dimension_d_minus_one(self, dim):
+        # d^2 - 1 parameters, d(d - 1) identified frequencies: the
+        # maximizers form a (d - 1)-dimensional set, larger than the
+        # one-dimensional depolarizing gauge for d > 2
+        data, _ = exact_calibration(dim)
+        fit = recon.estimate_spam_general(data, gate_depol_p=0.001).estimate
+
+        def probs(theta):
+            a = np.concatenate([[1.0 - theta[:dim - 1].sum()], theta[:dim - 1]])
+            rest = theta[dim - 1:].reshape(dim - 1, dim)
+            b = np.vstack([1.0 - rest.sum(axis=0), rest])
+            return calibration_probs(SimpleNamespace(populations=a, response=b),
+                                     0.001, dim).ravel()
+
+        theta = np.concatenate([fit.populations[1:], fit.response[1:].ravel()])
+        assert theta.size == dim * dim - 1
+        # probabilities are bilinear in (a, B), so central differences
+        # along one parameter are exact up to rounding
+        step = 1e-3
+        jac = np.stack([(probs(theta + step * e) - probs(theta - step * e)) / (2 * step)
+                        for e in np.eye(theta.size)], axis=1)
+        sv = np.linalg.svd(jac, compute_uv=False)
+        assert np.sum(sv > 1e-8 * sv[0]) == dim * (dim - 1)
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_exact_counts_land_on_the_max_trace_boundary(self, dim):
+        data, probs = exact_calibration(dim)
+        report = recon.estimate_spam_general(data, gate_depol_p=0.001)
+        fit = report.estimate
+        assert report.diagnostics["branch"] == "closed_form"
+        assert np.max(np.abs(calibration_probs(fit, 0.001, dim) - probs)) <= 1e-9
+        # the truth reproduces the data as well, so it bounds the maximum
+        truth = calibration_noise(dim).spam_model(dim)
+        assert np.trace(fit.response) >= np.trace(truth.response) - 1e-12
+        # no feasible neighbour in the flat set has a larger trace
+        rng = qcore.make_rng(92)
+        feasible = 0
+        for _ in range(400):
+            a = fit.populations + rng.uniform(-1, 1, dim) * 10 ** rng.uniform(-5, -2)
+            a[0] = 1.0 - a[1:].sum()
+            b = probs.T @ np.linalg.inv(calibration_transfer(a, 0.001, dim))
+            if a.min() >= 0 and b.min() >= 0:
+                feasible += 1
+                assert np.trace(b) <= np.trace(fit.response) + 1e-9
+        assert feasible >= 10
+        again = recon.estimate_spam_general(data, gate_depol_p=0.001)
+        assert json.dumps(again.to_dict()) == json.dumps(report.to_dict())
+
+    def test_zero_count_cell_takes_the_fallback(self):
+        data, _ = exact_calibration(3, shots=10 ** 4)
+        counts = np.round(data.counts)
+        counts[1, 2] = 0.0  # after flip (0,1) outcome 2 was never seen
+        data = sim.CountsDataset("zero", data.labels, counts.sum(axis=1),
+                                 counts, seed=0)
+        report = recon.estimate_spam_general(data, gate_depol_p=0.001)
+        diag = report.diagnostics
+        assert diag["branch"] == "fallback" and diag["min_response"] < -1e-9
+        assert report.converged and diag["stop_reason"] == "tol"
+        fit = report.estimate
+        v = calibration_transfer(fit.populations, 0.001, 3)
+
+        def loglik(b):
+            return float(np.sum(counts * np.log(np.clip((b @ v).T, 1e-300, None))))
+
+        # the likelihood is concave in B at fixed populations: no mixture
+        # toward another readout does better than the fitted one
+        assert loglik(fit.response) == pytest.approx(report.log_likelihood, abs=1e-6)
+        rng = qcore.make_rng(93)
+        for _ in range(100):
+            other = rng.dirichlet(np.ones(3), size=3).T
+            t = 10 ** rng.uniform(-4, -1)
+            assert loglik((1 - t) * fit.response + t * other) <= loglik(fit.response) + 1e-6
+
+    @pytest.mark.parametrize("shots, seed", [(2, 94), (30, 95)])
+    def test_starved_data_is_reported(self, shots, seed):
+        # 2 shots leave one circuit unmeasured; 30 leave zero-count cells
+        circuits = protocols.spam_calibration_circuits(3)
+        data = sim.run_protocol(circuits, None, calibration_noise(3), shots, seed=seed)
+        report = recon.estimate_spam_general(data, gate_depol_p=0.001)
+        diag = report.diagnostics
+        assert diag["branch"] == "fallback"
+        if shots == 2:
+            assert diag["min_response"] is None
+            assert report.iterations == diag["evaluations"] >= 1
+        else:
+            assert diag["min_response"] < -1e-9
+        assert diag["stop_reason"] in ("tol", "stalled", "max_iter")
+        assert report.converged == (diag["stop_reason"] == "tol")
+        json.dumps(report.to_dict(), allow_nan=False)
+
     def test_rejects_degenerate_data(self):
         circuits = protocols.spam_calibration_circuits(3)
         labels = tuple(c.label for c in circuits)
@@ -397,6 +482,20 @@ class TestSpamGeneral:
                                         np.full((2, 3), 3), seed=0)
         with pytest.raises(ValueError):
             recon.estimate_spam_general(wrong_shape)
+
+
+def gibbs_grid_oracle(counts, omegas):
+    """Largest level-read log-likelihood over a dense (log T, b0, b1) grid."""
+    rates = np.linspace(0.0, 0.5, 101)
+    b0, b1 = rates[:, None, None], rates[None, :, None]
+    best = -np.inf
+    for log_temp in np.linspace(np.log(1e-6), np.log(100.0), 400):
+        a = readout.gibbs_populations(np.exp(log_temp), np.asarray(omegas))
+        p = np.clip((1.0 - b0) * a + b1 * (1.0 - a),
+                    recon.PROB_FLOOR, 1.0 - recon.PROB_FLOOR)
+        ll = np.sum(counts[:, 1] * np.log(p) + counts[:, 0] * np.log1p(-p), axis=-1)
+        best = max(best, float(ll.max()))
+    return best
 
 
 class TestSpamGibbs:
@@ -415,6 +514,8 @@ class TestSpamGibbs:
         assert abs(report.estimate["temperature"] - 1.0) < 1e-4
         assert abs(report.estimate["b0"] - 0.01) < 1e-4
         assert abs(report.estimate["b1"] - 0.02) < 1e-4
+        assert report.converged and report.diagnostics["stop_reason"] == "tol"
+        assert 1 <= report.iterations <= report.diagnostics["evaluations"]
 
     def test_sampled_run_lands_near_truth(self):
         noise = sim.NoiseConfig(init=sim.GibbsInit(1.0, (0.0, 4.0, 6.0)),
@@ -438,6 +539,28 @@ class TestSpamGibbs:
         report = recon.estimate_spam_gibbs(data, np.array([0.0, 4.0, 6.0]))
         assert report.estimate["b0"] <= 1e-4
         assert report.estimate["b1"] <= 1e-4
+
+    def test_level_read_with_zero_clicks(self):
+        noise = sim.NoiseConfig(init=sim.GibbsInit(1.0, (0.0, 4.0, 6.0)),
+                                readout=sim.LevelReadoutError(0.01, 0.02))
+        reads = sim.simulate_level_reads(3, noise, 10 ** 4, seed=74)
+        counts = np.asarray(reads.counts, dtype=float)
+        counts[2] = (counts[2].sum(), 0.0)
+        data = sim.CountsDataset("dark", reads.labels, reads.shots, counts, seed=0)
+        report = recon.estimate_spam_gibbs(data, np.array([0.0, 4.0, 6.0]))
+        assert report.converged and np.isfinite(report.log_likelihood)
+        assert 0.0 <= report.estimate["b0"] <= 0.5
+        assert 0.0 <= report.estimate["b1"] <= 0.5
+        assert report.log_likelihood >= gibbs_grid_oracle(counts, (0.0, 4.0, 6.0)) - 1e-9
+
+    def test_beats_a_dense_grid_oracle(self):
+        noise = sim.NoiseConfig(init=sim.GibbsInit(1.0, (0.0, 4.0, 6.0)),
+                                readout=sim.LevelReadoutError(0.01, 0.02))
+        reads = sim.simulate_level_reads(3, noise, 10 ** 4, seed=75)
+        report = recon.estimate_spam_gibbs(reads, np.array([0.0, 4.0, 6.0]))
+        oracle = gibbs_grid_oracle(np.asarray(reads.counts, dtype=float),
+                                   (0.0, 4.0, 6.0))
+        assert report.log_likelihood >= oracle - 1e-9
 
     def test_rejects_empty_data(self):
         zero = sim.CountsDataset("z", ("read0", "read1", "read2"),
