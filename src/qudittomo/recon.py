@@ -29,6 +29,9 @@ from . import qcore, readout
 from .circuits import gate_unitary, sequence_unitary
 
 PROB_FLOOR = 1e-12
+# default level of `select_rank`'s likelihood-ratio test, which the early
+# rank decision of `mle_state` certifies against
+RANK_SIGNIFICANCE = 0.95
 
 
 @dataclass
@@ -171,14 +174,29 @@ def _residual(probs, data):
     return float(np.max(np.abs(probs[mask] - freq[mask])))
 
 
-def mle_state(data, model, dilution=0.1, tol=1e-10, max_iter=10000):
+def mle_state(data, model, dilution=0.1, tol=1e-10, max_iter=10000, pure=None):
     """Maximum-likelihood state estimate by the diluted R rho R iteration.
 
     Iterates rho <- (1 - dilution) * N[R rho R] + dilution * rho with
     R = sum_ik (n_ik / p_ik) B_ik, which keeps the iterate a valid state.
     If a step would lower the log-likelihood the update is pulled toward
     the current iterate until it does not, so the likelihood trace is
-    non-decreasing.  Stops when the gain drops below `tol` per shot.
+    non-decreasing.  Stops with `stop_reason` "tol" when the gain drops
+    below `tol` per shot, "stalled" when no pulled-back step ascends, or
+    "max_iter"; only "tol" counts as converged.
+
+    By concavity every iterate bounds the maximum log-likelihood:
+    ll* <= ll + lambda_max(R) - Tr(R rho), valid when no probability is
+    clipped at PROB_FLOOR.  `diagnostics["gap_bound"]` holds that gap at
+    the returned estimate (None when a probability is clipped).
+
+    Early rank decision: given `pure`, the `mle_state_pure` report of the
+    same data, the fit stops ("pure_kept", not converged) as soon as the
+    bound proves that `select_rank(full, pure, dim)` keeps `pure` at its
+    default significance, checked every 4th iteration.  The check does
+    not change the iterates, so a fit that is not stopped early returns
+    the same bytes as without `pure`, and `select_rank` returns the same
+    pure report as after a full run.
     """
     if model.kind != "qst":
         raise ValueError(f"mle_state needs a 'qst' model, got {model.kind!r}")
@@ -189,21 +207,37 @@ def mle_state(data, model, dilution=0.1, tol=1e-10, max_iter=10000):
     n_total = counts.sum()
 
     def probs_of(rho):
-        return np.clip(np.real(np.einsum("nij,ji->n", ops, rho)), PROB_FLOOR, None)
+        return np.maximum(np.einsum("nij,ji->n", ops, rho).real, PROB_FLOOR)
 
+    def r_of(p):
+        r = np.einsum("n,nij->ij", counts / p, ops)
+        return (r + r.conj().T) / 2
+
+    threshold = None if pure is None else _rank_threshold(dim, RANK_SIGNIFICANCE)
+    full_step = 1.0 - dilution
+    min_gain = tol * max(n_total, 1.0)
     rho = np.eye(dim, dtype=complex) / dim
     p = probs_of(rho)
     ll = float(counts @ np.log(p))
     trace = [ll]
-    converged = False
+    stop_reason = "max_iter"
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        r = np.einsum("n,nij->ij", counts / p, ops)
-        r = (r + qcore.dagger(r)) / 2
-        cand = r @ rho @ r
-        cand = cand / np.trace(cand).real
-        cand = (cand + qcore.dagger(cand)) / 2
-        step = 1.0 - dilution
+        r = r_of(p)
+        r_rho = r @ rho
+        if threshold is not None and iterations % 4 == 1:
+            if not _keeps_pure(ll, pure.log_likelihood, threshold):
+                # ll never falls, so from here on no bound can pass
+                threshold = None
+            elif p.min() > PROB_FLOOR:
+                gap = _gap_bound(r, r_rho)
+                if _keeps_pure(ll + gap, pure.log_likelihood, threshold):
+                    stop_reason = "pure_kept"
+                    break
+        cand = r_rho @ r
+        cand = cand / cand.trace().real
+        cand = (cand + cand.conj().T) / 2
+        step = full_step
         rho_new = step * cand + (1.0 - step) * rho
         p_new = probs_of(rho_new)
         ll_new = float(counts @ np.log(p_new))
@@ -213,23 +247,32 @@ def mle_state(data, model, dilution=0.1, tol=1e-10, max_iter=10000):
             p_new = probs_of(rho_new)
             ll_new = float(counts @ np.log(p_new))
         if ll_new < ll:
-            converged = True
+            stop_reason = "stalled"
             break
         gain = ll_new - ll
         rho, p, ll = rho_new, p_new, ll_new
         trace.append(ll)
-        if gain < tol * max(n_total, 1.0):
-            converged = True
+        if gain < min_gain:
+            stop_reason = "tol"
             break
+    if stop_reason != "pure_kept":
+        r = r_of(p)
+        gap = _gap_bound(r, r @ rho) if p.min() > PROB_FLOOR else None
     probs = np.real(np.einsum("ckij,ji->ck", model.operators, rho))
     return FitReport(
         estimate=rho,
         log_likelihood=ll,
         iterations=iterations,
-        converged=converged,
+        converged=stop_reason == "tol",
         max_residual=_residual(probs, data),
-        diagnostics={"loglik_trace": np.asarray(trace)},
+        diagnostics={"loglik_trace": np.asarray(trace),
+                     "stop_reason": stop_reason, "gap_bound": gap},
     )
+
+
+def _gap_bound(r, r_rho):
+    """lambda_max(R) - Tr(R rho), floored at 0: a bound on ll* - ll at rho."""
+    return max(float(np.linalg.eigvalsh(r)[-1]) - r_rho.trace().real, 0.0)
 
 
 def mle_state_pure(data, model, dilution=0.1, tol=1e-10, max_iter=10000):
@@ -237,10 +280,11 @@ def mle_state_pure(data, model, dilution=0.1, tol=1e-10, max_iter=10000):
 
     Iterates psi <- normalize((1 - dilution) * normalize(R psi)
     + dilution * psi), the vector form of the diluted fixed point, with
-    the same pull-back safeguard and stopping rule as `mle_state`.  The
-    start vector is the dominant eigenvector of R at the maximally mixed
-    state; a poor local maximum only lowers this fit's likelihood, which
-    `select_rank` treats as a vote for the full-rank fit.
+    the same pull-back safeguard, stopping rule and `stop_reason` as
+    `mle_state`.  The start vector is the dominant eigenvector of R at
+    the maximally mixed state; a poor local maximum only lowers this
+    fit's likelihood, which `select_rank` treats as a vote for the
+    full-rank fit.
     """
     if model.kind != "qst":
         raise ValueError(f"mle_state_pure needs a 'qst' model, got {model.kind!r}")
@@ -251,24 +295,26 @@ def mle_state_pure(data, model, dilution=0.1, tol=1e-10, max_iter=10000):
     n_total = counts.sum()
 
     def probs_of(v):
-        return np.clip(np.real(np.einsum("i,nij,j->n", v.conj(), ops, v)),
-                       PROB_FLOOR, None)
+        return np.maximum(np.einsum("i,nij,j->n", v.conj(), ops, v).real,
+                          PROB_FLOOR)
 
+    full_step = 1.0 - dilution
+    min_gain = tol * max(n_total, 1.0)
     p0 = np.clip(np.real(np.einsum("nii->n", ops)) / dim, PROB_FLOOR, None)
     r0 = np.einsum("n,nij->ij", counts / p0, ops)
-    _, vecs = np.linalg.eigh((r0 + qcore.dagger(r0)) / 2)
+    _, vecs = np.linalg.eigh((r0 + r0.conj().T) / 2)
     psi = vecs[:, -1]
     p = probs_of(psi)
     ll = float(counts @ np.log(p))
     trace = [ll]
-    converged = False
+    stop_reason = "max_iter"
     iterations = 0
     for iterations in range(1, max_iter + 1):
         r = np.einsum("n,nij->ij", counts / p, ops)
-        r = (r + qcore.dagger(r)) / 2
+        r = (r + r.conj().T) / 2
         cand = r @ psi
         cand = cand / np.linalg.norm(cand)
-        step = 1.0 - dilution
+        step = full_step
         psi_new = step * cand + (1.0 - step) * psi
         psi_new = psi_new / np.linalg.norm(psi_new)
         p_new = probs_of(psi_new)
@@ -280,13 +326,13 @@ def mle_state_pure(data, model, dilution=0.1, tol=1e-10, max_iter=10000):
             p_new = probs_of(psi_new)
             ll_new = float(counts @ np.log(p_new))
         if ll_new < ll:
-            converged = True
+            stop_reason = "stalled"
             break
         gain = ll_new - ll
         psi, p, ll = psi_new, p_new, ll_new
         trace.append(ll)
-        if gain < tol * max(n_total, 1.0):
-            converged = True
+        if gain < min_gain:
+            stop_reason = "tol"
             break
     rho = np.outer(psi, psi.conj())
     probs = np.real(np.einsum("ckij,ji->ck", model.operators, rho))
@@ -294,13 +340,30 @@ def mle_state_pure(data, model, dilution=0.1, tol=1e-10, max_iter=10000):
         estimate=rho,
         log_likelihood=ll,
         iterations=iterations,
-        converged=converged,
+        converged=stop_reason == "tol",
         max_residual=_residual(probs, data),
-        diagnostics={"loglik_trace": np.asarray(trace), "state_vector": psi},
+        diagnostics={"loglik_trace": np.asarray(trace), "state_vector": psi,
+                     "stop_reason": stop_reason},
     )
 
 
-def select_rank(full, pure, dim, significance=0.95):
+# chi-squared thresholds of the rank test, one per (dim, significance)
+_RANK_THRESHOLDS = {}
+
+
+def _rank_threshold(dim, significance):
+    key = (dim, significance)
+    if key not in _RANK_THRESHOLDS:
+        dof = (dim * dim - 1) - (2 * dim - 2)
+        _RANK_THRESHOLDS[key] = float(scipy.stats.chi2.ppf(significance, dof))
+    return _RANK_THRESHOLDS[key]
+
+
+def _keeps_pure(ll_full, ll_pure, threshold):
+    return 2.0 * (ll_full - ll_pure) <= threshold
+
+
+def select_rank(full, pure, dim, significance=RANK_SIGNIFICANCE):
     """Keep the pure-state fit unless the likelihood ratio rejects it.
 
     A full-rank density matrix has d^2 - 1 free real parameters and a
@@ -309,10 +372,17 @@ def select_rank(full, pure, dim, significance=0.95):
     freedom.  Near-pure states at modest sample sizes are estimated much
     better by the restricted fit, which cannot spill weight onto
     spurious eigenvectors of the full-rank maximizer.
+
+    `full` may come from `mle_state(..., pure=pure)`: when that fit
+    stopped early ("pure_kept") its likelihood is below the certified
+    bound that passed this same test at the default significance, so
+    `pure` is returned, exactly as after a full run; a larger
+    `significance` keeps that guarantee, a smaller one does not.  The
+    threshold is computed once per (dim, significance) and shared with
+    that early stop.
     """
-    dof = (dim * dim - 1) - (2 * dim - 2)
-    threshold = float(scipy.stats.chi2.ppf(significance, dof))
-    if 2.0 * (full.log_likelihood - pure.log_likelihood) <= threshold:
+    threshold = _rank_threshold(dim, significance)
+    if _keeps_pure(full.log_likelihood, pure.log_likelihood, threshold):
         return pure
     return full
 

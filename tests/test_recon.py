@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from qudittomo import protocols, qcore, readout, recon, sim
 
@@ -218,6 +219,145 @@ class TestPureStateFit:
         full = recon.mle_state(data, model)
         pure = recon.mle_state_pure(data, model)
         assert recon.select_rank(full, pure, 3) is full
+
+
+class TestStateFitReports:
+    def test_stop_reason_sets_converged(self):
+        protocol = protocols.qst_two_level(3)
+        model = recon.build_measurement_model(protocol)
+        truth = qcore.depolarize(
+            qcore.projector(qcore.haar_state(3, qcore.make_rng(44))), 0.1)
+        data = sim.run_protocol(protocol, truth, sim.NoiseConfig(), 5_000, seed=44)
+        for fit in (recon.mle_state, recon.mle_state_pure):
+            done = fit(data, model)
+            assert done.converged and done.diagnostics["stop_reason"] == "tol"
+            cut = fit(data, model, max_iter=3)
+            assert cut.iterations == 3 and not cut.converged
+            assert cut.diagnostics["stop_reason"] == "max_iter"
+        gap = recon.mle_state(data, model).diagnostics["gap_bound"]
+        assert gap is not None and gap >= 0.0
+
+    def test_rank_threshold_is_the_chi2_quantile(self):
+        for dim in (2, 3, 5):
+            dof = (dim * dim - 1) - (2 * dim - 2)
+            want = scipy.stats.chi2.ppf(recon.RANK_SIGNIFICANCE, dof)
+            assert recon._rank_threshold(dim, recon.RANK_SIGNIFICANCE) == want
+            # the comparison is inclusive at the threshold
+            pure = SimpleNamespace(log_likelihood=0.0)
+            edge = SimpleNamespace(log_likelihood=want / 2)
+            above = SimpleNamespace(log_likelihood=want)
+            assert recon.select_rank(edge, pure, dim) is pure
+            assert recon.select_rank(above, pure, dim) is above
+
+
+def _rank_datasets():
+    """(dim, model, data) over both protocols, d = 2, 3, 5 and N = 1e3..1e5."""
+    for dim in (2, 3, 5):
+        for build in (protocols.qst_two_level, protocols.mub_protocol):
+            protocol = build(dim)
+            model = recon.build_measurement_model(protocol)
+            for n_shots in (1_000, 10_000, 100_000):
+                for trial in range(3):
+                    rng = qcore.make_rng(604, f"rank-{dim}-{build.__name__}-{n_shots}",
+                                         trial)
+                    truth = qcore.depolarize(
+                        qcore.projector(qcore.haar_state(dim, rng)),
+                        float(rng.choice([0.0, 0.01, 0.1])))
+                    data = sim.run_protocol(
+                        protocol, truth, sim.NoiseConfig(gate_depol_p=0.001),
+                        n_shots, seed=qcore.derive_seed(604, "rank-data", trial))
+                    yield dim, model, data
+
+
+class TestEarlyRankDecision:
+    def test_selection_matches_a_full_run(self):
+        decisions = []
+        early_stops = 0
+        for dim, model, data in _rank_datasets():
+            pure = recon.mle_state_pure(data, model)
+            plain = recon.mle_state(data, model)
+            early = recon.mle_state(data, model, pure=pure)
+            want = recon.select_rank(plain, pure, dim)
+            got = recon.select_rank(early, pure, dim)
+            assert (got is pure) == (want is pure)
+            assert np.array_equal(got.estimate, want.estimate)
+            assert got.log_likelihood == want.log_likelihood
+            if early.diagnostics["stop_reason"] == "pure_kept":
+                early_stops += 1
+                assert got is pure and not early.converged
+                assert early.iterations < plain.iterations
+            else:
+                assert np.array_equal(early.estimate, plain.estimate)
+                assert early.iterations == plain.iterations
+            decisions.append(want is pure)
+        assert len(decisions) >= 40
+        assert early_stops > 0
+        assert 0 < sum(decisions) < len(decisions)
+
+    def test_bound_covers_a_tight_fit(self):
+        # every iterate's ll + gap bounds the best attainable likelihood
+        for dim, build, n_shots, depol in ((2, protocols.qst_two_level, 1_000, 0.0),
+                                           (3, protocols.qst_two_level, 100_000, 0.05),
+                                           (3, protocols.mub_protocol, 10_000, 0.01),
+                                           (5, protocols.mub_protocol, 10_000, 0.1)):
+            protocol = build(dim)
+            model = recon.build_measurement_model(protocol)
+            rng = qcore.make_rng(605, "bound", dim)
+            truth = qcore.depolarize(qcore.projector(qcore.haar_state(dim, rng)),
+                                     depol)
+            data = sim.run_protocol(protocol, truth, sim.NoiseConfig(), n_shots,
+                                    seed=qcore.derive_seed(605, "bound-data", dim))
+            best = recon.mle_state(data, model, tol=1e-13).log_likelihood
+            for k in (1, 2, 5, 20, 100, 400):
+                cut = recon.mle_state(data, model, max_iter=k)
+                gap = cut.diagnostics["gap_bound"]
+                assert gap is not None
+                assert cut.log_likelihood + gap >= best - 1e-6
+
+    def test_clipped_probabilities_never_certify(self):
+        # a readout level that never fires puts a zero operator in the
+        # model: its probability sits on PROB_FLOOR at every iterate, the
+        # concavity bound is not taken there, and the fit runs to its tol
+        protocol = protocols.qst_two_level(3)
+        spam = readout.DiagonalSpamModel(
+            [1.0, 0.0, 0.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        model = recon.build_measurement_model(protocol, spam=spam)
+        rng = qcore.make_rng(606)
+        for depol in (0.0, 0.3):
+            truth = qcore.depolarize(qcore.projector(qcore.haar_state(3, rng)), depol)
+            probs = np.clip(model.probabilities(truth), 0.0, None)
+            counts = np.stack([rng.multinomial(20_000, q / q.sum()) for q in probs])
+            data = sim.CountsDataset("dead-level", model.labels,
+                                     counts.sum(axis=1), counts, seed=606)
+            assert np.all(counts[:, 2] == 0)
+            pure = recon.mle_state_pure(data, model)
+            plain = recon.mle_state(data, model)
+            early = recon.mle_state(data, model, pure=pure)
+            assert early.diagnostics["stop_reason"] == "tol"
+            assert early.diagnostics["gap_bound"] is None
+            assert early.iterations == plain.iterations
+            assert np.array_equal(early.estimate, plain.estimate)
+
+    def test_zero_count_cells_keep_the_decision(self):
+        # a basis-state truth leaves zero-count cells whose probabilities
+        # the tight fit drives below PROB_FLOOR; a stop may fire only from
+        # an unclipped iterate, and the selection is that of a full run
+        for build in (protocols.qst_two_level, protocols.mub_protocol):
+            protocol = build(3)
+            model = recon.build_measurement_model(protocol)
+            data = exact_dataset(protocol, qcore.projector(qcore.ket(0, 3)),
+                                 sim.NoiseConfig(), shots=10 ** 4)
+            assert np.any(data.counts == 0)
+            pure = recon.mle_state_pure(data, model, tol=1e-13)
+            plain = recon.mle_state(data, model, tol=1e-13)
+            assert model.probabilities(plain.estimate).min() <= recon.PROB_FLOOR
+            assert plain.diagnostics["gap_bound"] is None
+            early = recon.mle_state(data, model, tol=1e-13, pure=pure)
+            assert early.diagnostics["stop_reason"] == "pure_kept"
+            assert model.probabilities(early.estimate).min() > recon.PROB_FLOOR
+            assert early.diagnostics["gap_bound"] is not None
+            want = recon.select_rank(plain, pure, 3)
+            assert want is pure and recon.select_rank(early, pure, 3) is pure
 
 
 class TestMleProcess:
