@@ -6,7 +6,9 @@ default, or any DiagonalSpamModel).  States are fitted by a diluted
 fixed-point iteration, processes by projected gradient ascent on the
 Choi matrix, and SPAM calibration parameters by structured solves: a
 closed form for the general diagonal model and a profile likelihood for
-the thermal one.
+the thermal one.  The process fit's projection is the exact Euclidean
+projection onto the CPTP set, computed by a Newton solve for a d x d
+Lagrange multiplier of the trace-preservation constraint.
 
 The general diagonal model has d^2 - 1 parameters, but its d
 calibration circuits determine only d(d - 1) frequencies, so its
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
-import scipy.stats
+import scipy.special
 
 from . import qcore, readout
 from .circuits import gate_unitary, sequence_unitary
@@ -355,7 +357,10 @@ def _rank_threshold(dim, significance):
     key = (dim, significance)
     if key not in _RANK_THRESHOLDS:
         dof = (dim * dim - 1) - (2 * dim - 2)
-        _RANK_THRESHOLDS[key] = float(scipy.stats.chi2.ppf(significance, dof))
+        # the chi-squared quantile, as scipy.stats.chi2.ppf computes it;
+        # scipy.stats itself is slow to import
+        _RANK_THRESHOLDS[key] = float(
+            2.0 * scipy.special.gammaincinv(dof / 2, significance))
     return _RANK_THRESHOLDS[key]
 
 
@@ -387,47 +392,100 @@ def select_rank(full, pure, dim, significance=RANK_SIGNIFICANCE):
     return full
 
 
-def project_psd(op):
-    """Nearest positive semidefinite matrix (eigenvalue clipping)."""
-    w, v = np.linalg.eigh((op + qcore.dagger(op)) / 2)
-    return (v * np.clip(w, 0.0, None)) @ qcore.dagger(v)
+def project_cptp(choi, tol=1e-12, max_iter=50):
+    """Euclidean projection of a Hermitian matrix onto the CPTP Choi matrices.
 
+    The nearest J >= 0 with Tr_out J = I to G is J(L) = [G - L (x) I]_+,
+    the positive part, where the d x d Hermitian multiplier L minimizes
+    the smooth convex dual theta(L) = |[G - L (x) I]_+|^2 / 2 + Tr L,
+    whose gradient is I - Tr_out J(L) (Malick 2004).  The dual is solved
+    by semismooth Newton (Qi & Sun 2006): the generalized Hessian comes
+    from the Loewner divided differences of max(., 0) at one
+    eigendecomposition, and each step backtracks until theta passes an
+    Armijo test or the residual max|Tr_out J - I| halves.  The start is
+    L = (Tr_out G - I) / d, and the solve stops once the residual is at
+    most `tol`, after `max_iter` steps, or when no step makes progress.
+    The result is positive semidefinite by construction.
+    """
+    g = (choi + qcore.dagger(choi)) / 2
+    d2 = g.shape[0]
+    d = int(round(np.sqrt(d2)))
+    eye = np.eye(d)
 
-def project_trace_preserving(choi):
-    """Orthogonal projection onto Choi matrices with Tr_out = I."""
-    d = int(round(np.sqrt(choi.shape[0])))
-    delta = qcore.choi_output_trace(choi) - np.eye(d)
-    return choi - np.kron(delta, np.eye(d)) / d
+    def evaluate(lam):
+        # L (x) I by broadcasting, in the (input, output) index order
+        shift = (lam[:, None, :, None] * eye[None, :, None, :]).reshape(d2, d2)
+        w, v = np.linalg.eigh(g - shift)
+        wp = np.maximum(w, 0.0)
+        v3 = v.reshape(d, d, d2)
+        # Tr_out J = sum_ap wp_p V[i,a,p] conj(V[j,a,p])
+        out_trace = (v3 * wp).reshape(d, -1) @ v3.conj().reshape(d, -1).T
+        resid = eye - out_trace
+        theta = 0.5 * float(wp @ wp) + lam.trace().real
+        return theta, resid, float(np.abs(resid).max()), w, v3
 
-
-def project_cptp(choi, tol=1e-11, max_alternations=200):
-    """Dykstra-corrected alternating projection onto the CPTP set."""
-    x = (choi + qcore.dagger(choi)) / 2
-    p_corr = np.zeros_like(x)
-    q_corr = np.zeros_like(x)
-    for _ in range(max_alternations):
-        y = project_psd(x + p_corr)
-        p_corr = x + p_corr - y
-        x = project_trace_preserving(y + q_corr)
-        q_corr = y + q_corr - x
-        wmin = np.linalg.eigvalsh((x + qcore.dagger(x)) / 2).min()
-        if wmin >= -tol:
+    lam = (qcore.choi_output_trace(g) - eye) / d
+    theta, resid, err, w, v3 = evaluate(lam)
+    for _ in range(max_iter):
+        if err <= tol:
             break
-    return (x + qcore.dagger(x)) / 2
+        # divided differences of max(., 0) at the eigenvalues; a tie
+        # takes the derivative, 1 above zero and 0 at or below it
+        pos = w > 0
+        wp = np.maximum(w, 0.0)
+        gaps = w[:, None] - w[None, :]
+        omega = np.divide(wp[:, None] - wp[None, :], gaps, where=gaps != 0,
+                          out=(pos[:, None] & pos[None, :]).astype(float))
+        # Hessian on the matrix units e_kl: M_kl = V^H (e_kl (x) I) V and
+        # H[(ij), (kl)] = sum_pq conj(M_ij) * omega * M_kl, Hermitian PSD
+        m = np.einsum("iap,jaq->ijpq", v3.conj(), v3).reshape(d * d, d2 * d2)
+        hess = m.conj() @ (omega.ravel() * m).T
+        step = np.linalg.solve(hess + 1e-12 * np.eye(d * d), -resid.ravel())
+        step = step.reshape(d, d)
+        step = (step + qcore.dagger(step)) / 2
+        slope = float(np.vdot(step, resid).real)
+        t = 1.0
+        while t > 1e-10:
+            trial = evaluate(lam + t * step)
+            # near the solution theta cannot resolve the progress, which
+            # the residual still shows
+            if trial[0] <= theta + 1e-4 * t * slope or trial[2] <= err / 2:
+                break
+            t /= 2.0
+        else:
+            break
+        lam = lam + t * step
+        theta, resid, err, w, v3 = trial
+    vd = v3.reshape(d2, d2)
+    j = (vd * np.maximum(w, 0.0)) @ qcore.dagger(vd)
+    return (j + qcore.dagger(j)) / 2
 
 
 def mle_process(data, model, tol=1e-10, max_iter=10000):
     """Maximum-likelihood Choi-matrix estimate by projected gradient ascent.
 
     Ascends the log-likelihood sum_ik n_ik log Tr(J A_ik) with an adaptive
-    step and backtracking; every iterate is pushed back onto the CPTP set
-    with `project_cptp`.  Stops when no projected step improves the
-    likelihood or the gain drops below `tol` per shot.
+    step and backtracking; every iterate is the exact Euclidean
+    projection of the step onto the CPTP set (`project_cptp`), so it is
+    positive semidefinite and trace preserving to 1e-12.  Stops with
+    `stop_reason` "tol" when the gain drops below `tol` per shot,
+    "stalled" when no projected step improves the likelihood, or
+    "max_iter"; "tol" and "stalled" both count as converged.
+
+    By concavity every feasible iterate bounds the maximum likelihood:
+    with G = sum_ik (n_ik / p_ik) A_ik and any Hermitian L,
+    ll* <= ll + Tr L + d * lambda_max(G - L (x) I) - N.
+    `diagnostics["gap_bound"]` holds that gap at the returned estimate
+    for L the Hermitian part of Tr_out(G J), or None when a probability
+    is clipped at PROB_FLOOR.  `diagnostics` also reports the estimate's
+    trace-preservation residual max|Tr_out J - I| (`tp_residual`) and
+    smallest eigenvalue (`min_eigenvalue`).
     """
     if model.kind != "qpt":
         raise ValueError(f"mle_process needs a 'qpt' model, got {model.kind!r}")
     _check_alignment(data, model)
-    d2 = model.dim ** 2
+    dim = model.dim
+    d2 = dim ** 2
     ops = model.operators.reshape(-1, d2, d2)
     counts = np.asarray(data.counts, dtype=float).ravel()
     n_total = counts.sum()
@@ -435,11 +493,11 @@ def mle_process(data, model, tol=1e-10, max_iter=10000):
     def probs_of(j):
         return np.clip(np.real(np.einsum("nij,ji->n", ops, j)), PROB_FLOOR, None)
 
-    choi = np.eye(d2, dtype=complex) / model.dim
+    choi = np.eye(d2, dtype=complex) / dim
     p = probs_of(choi)
     ll = float(counts @ np.log(p))
     gamma = 0.3
-    converged = False
+    stop_reason = "max_iter"
     iterations = 0
     for iterations in range(1, max_iter + 1):
         grad = np.einsum("n,nij->ij", counts / p, ops) / max(n_total, 1.0)
@@ -458,22 +516,32 @@ def mle_process(data, model, tol=1e-10, max_iter=10000):
             gamma /= 2.0
             first_try = False
         if not accepted:
-            converged = True
+            stop_reason = "stalled"
             break
         gain = ll_new - ll
         choi, p, ll = cand, p_new, ll_new
         if gain < tol * max(n_total, 1.0):
-            converged = True
+            stop_reason = "tol"
             break
-    choi = project_cptp(choi, tol=1e-12, max_alternations=1000)
+    gap = None
+    if p.min() > PROB_FLOOR:
+        g = np.einsum("n,nij->ij", counts / p, ops)
+        g = (g + qcore.dagger(g)) / 2
+        lam = qcore.choi_output_trace(g @ choi)
+        lam = (lam + qcore.dagger(lam)) / 2
+        top = np.linalg.eigvalsh(g - np.kron(lam, np.eye(dim)))[-1]
+        gap = max(float(lam.trace().real + dim * top - n_total), 0.0)
     probs = np.real(np.einsum("ckij,ji->ck", model.operators, choi))
+    tp_residual = np.abs(qcore.choi_output_trace(choi) - np.eye(dim)).max()
     return FitReport(
         estimate=choi,
         log_likelihood=ll,
         iterations=iterations,
-        converged=converged,
+        converged=stop_reason != "max_iter",
         max_residual=_residual(probs, data),
-        diagnostics={"final_step": gamma},
+        diagnostics={"final_step": gamma, "stop_reason": stop_reason,
+                     "gap_bound": gap, "tp_residual": float(tp_residual),
+                     "min_eigenvalue": float(np.linalg.eigvalsh(choi)[0])},
     )
 
 

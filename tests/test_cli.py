@@ -7,6 +7,8 @@ is echoed into the file.
 """
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -245,3 +247,18 @@ def test_config_validation_direct():
     cfg = cli.ExperimentConfig(experiment="qst_compare", grid=(10, 20),
                                dim="3")
     assert cfg.dim == 3 and cfg.grid == (10, 20)
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats takes longer to import than the rest of the program;
+    # compare against what numpy and scipy.optimize load on their own,
+    # which differs across scipy versions
+    script = (
+        "import sys, numpy, scipy.optimize\n"
+        "before = set(sys.modules)\n"
+        "import qudittomo.cli\n"
+        "added = set(sys.modules) - before\n"
+        "print(sorted(m for m in added if m.split('.')[:2] == ['scipy', 'stats']))\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -396,6 +396,39 @@ class TestMleProcess:
             report = recon.mle_process(data, model)
             qcore.check_choi(report.estimate, atol_tp=1e-6)
 
+    def test_report_gives_stop_reason_and_feasibility(self):
+        protocol = protocols.qpt_two_level(3)
+        model = recon.build_measurement_model(protocol)
+        truth = qcore.choi_from_unitary(np.eye(3))
+        data = exact_dataset(protocol, truth, sim.NoiseConfig(), shots=10 ** 5)
+        report = recon.mle_process(data, model)
+        diag = report.diagnostics
+        assert diag["stop_reason"] == "tol" and report.converged
+        assert diag["tp_residual"] <= 1e-12
+        assert diag["min_eigenvalue"] >= -1e-12
+        # the identity channel leaves zero-probability outcomes, which the
+        # fit drives onto PROB_FLOOR, so the bound does not apply
+        assert diag["gap_bound"] is None
+        short = recon.mle_process(data, model, max_iter=3)
+        assert short.diagnostics["stop_reason"] == "max_iter"
+        assert not short.converged and short.iterations == 3
+
+    @pytest.mark.parametrize("dim,shots,seed", [(2, 2_000, 52), (2, 20_000, 53),
+                                                (3, 100_000, 54)])
+    def test_gap_bound_covers_a_tight_refit(self, dim, shots, seed):
+        protocol = protocols.qpt_two_level(dim)
+        model = recon.build_measurement_model(protocol)
+        truth = qcore.choi_depolarize(
+            qcore.choi_from_unitary(qcore.haar_unitary(dim, qcore.make_rng(seed))),
+            0.05)
+        data = sim.run_protocol(protocol, truth, sim.NoiseConfig(), shots, seed=seed)
+        report = recon.mle_process(data, model)
+        tight = recon.mle_process(data, model, tol=1e-13)
+        gap = report.diagnostics["gap_bound"]
+        assert gap is not None and gap <= 1e-4 * data.counts.sum()
+        assert tight.log_likelihood - report.log_likelihood <= gap
+        assert tight.diagnostics["gap_bound"] <= gap
+
     def test_true_spam_model_beats_ideal_model_on_noisy_data(self):
         noise = sim.NoiseConfig(gate_depol_p=0.001,
                                 init=sim.GibbsInit(1.0, (0.0, 4.0, 6.0)),
@@ -426,8 +459,65 @@ class TestCptpProjection:
             raw = rng.standard_normal((dim * dim, dim * dim))
             raw = raw + 1j * rng.standard_normal((dim * dim, dim * dim))
             raw = (raw + qcore.dagger(raw)) / 2
-            out = recon.project_cptp(raw, max_alternations=2000)
+            out = recon.project_cptp(raw)
             qcore.check_choi(out, atol_tp=1e-5)
+
+    @staticmethod
+    def assert_kkt(g, out):
+        """`out` is the Euclidean projection of `g` onto the CPTP set.
+
+        The projection is the unique P >= 0 with Tr_out P = I for which
+        some Hermitian L makes S = P - G + L (x) I >= 0 with Tr(S P) = 0.
+        L is recovered from (G - P) V = (L (x) I) V on the range V of P
+        by least squares over an orthonormal Hermitian basis.
+        """
+        dim = int(round(np.sqrt(g.shape[0])))
+        w, v = np.linalg.eigh(out)
+        assert w[0] >= -1e-12
+        tp = qcore.choi_output_trace(out)
+        assert np.max(np.abs(tp - np.eye(dim))) <= 1e-11
+        basis = []
+        for i in range(dim):
+            for j in range(dim):
+                e = np.zeros((dim, dim), dtype=complex)
+                if i == j:
+                    e[i, i] = 1.0
+                elif i < j:
+                    e[i, j] = e[j, i] = np.sqrt(0.5)
+                else:
+                    e[i, j], e[j, i] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
+                basis.append(e)
+        rng_p = v[:, w > 1e-9]
+        cols = np.stack([(np.kron(e, np.eye(dim)) @ rng_p).ravel()
+                         for e in basis], axis=1)
+        rhs = ((g - out) @ rng_p).ravel()
+        coef = np.linalg.lstsq(np.concatenate([cols.real, cols.imag]),
+                               np.concatenate([rhs.real, rhs.imag]), rcond=None)[0]
+        lam = np.einsum("k,kij->ij", coef, np.stack(basis))
+        slack = out - g + np.kron(lam, np.eye(dim))
+        assert np.linalg.eigvalsh((slack + qcore.dagger(slack)) / 2)[0] >= -1e-10
+        assert abs(np.trace(slack @ out)) <= 1e-10
+
+    @pytest.mark.parametrize("dim,inputs", [(2, 200), (3, 40), (5, 10)])
+    def test_projection_meets_the_kkt_conditions(self, dim, inputs):
+        # a Choi matrix plus Hermitian noise; at d = 2 a feasibility-only
+        # stop lands on CPTP points up to 0.02 farther from G than this
+        for trial in range(inputs):
+            rng = qcore.make_rng(606, f"kkt-{dim}", trial)
+            choi = qcore.choi_from_unitary(qcore.haar_unitary(dim, rng))
+            noise = rng.standard_normal((dim * dim, dim * dim))
+            noise = noise + 1j * rng.standard_normal((dim * dim, dim * dim))
+            g = choi + (0.05, 0.2)[trial % 2] * (noise + qcore.dagger(noise)) / 2
+            self.assert_kkt(g, recon.project_cptp(g))
+
+    def test_raw_hermitian_inputs_meet_the_kkt_conditions(self):
+        for trial in range(6):
+            rng = qcore.make_rng(607, "kkt-raw", trial)
+            dim = (2, 3, 5)[trial % 3]
+            raw = rng.standard_normal((dim * dim, dim * dim))
+            raw = raw + 1j * rng.standard_normal((dim * dim, dim * dim))
+            raw = (raw + qcore.dagger(raw)) / 2
+            self.assert_kkt(raw, recon.project_cptp(raw))
 
 
 OMEGAS = {2: (0.0, 4.0), 3: (0.0, 4.0, 6.0), 5: (0.0, 4.0, 6.0, 7.0, 8.0)}
