@@ -33,8 +33,7 @@ circuits = protocols.spam_calibration_circuits(3)
 data = sim.run_protocol(circuits, None, noise, SHOTS, seed=12)
 fit = recon.estimate_spam_general(data, gate_depol_p=noise.gate_depol_p)
 
-true_probs = np.stack([sim.circuit_probabilities(c, None, noise, check=False)
-                       for c in circuits])
+true_probs = sim.outcome_probabilities(circuits, None, noise)
 predicted = np.asarray(fit.diagnostics["predicted_probs"])
 print("general diagonal fit")
 print(f"  fitted populations: {np.round(fit.estimate.populations, 4)}")

@@ -38,8 +38,6 @@ from .protocols import (
     mub_bases,
     mub_gate_compile,
     mub_protocol,
-    protocol_from_dict,
-    protocol_to_dict,
     qpt_preparations,
     qpt_two_level,
     qst_two_level,
@@ -53,6 +51,7 @@ from .sim import (
     allocate_shots,
     circuit_probabilities,
     noisy_prep_state,
+    outcome_probabilities,
     run_protocol,
     sample_counts,
     simulate_level_reads,

@@ -36,13 +36,6 @@ class TwoLevelGate:
         object.__setattr__(self, "levels", (int(j), int(k)))
         object.__setattr__(self, "angle", float(self.angle))
 
-    def to_dict(self):
-        return {"axis": self.axis, "angle": self.angle, "levels": list(self.levels)}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(axis=d["axis"], angle=d["angle"], levels=tuple(d["levels"]))
-
 
 @dataclass(frozen=True)
 class GateSequence:
@@ -62,13 +55,6 @@ class GateSequence:
 
     def __len__(self):
         return len(self.gates)
-
-    def to_list(self):
-        return [g.to_dict() for g in self.gates]
-
-    @classmethod
-    def from_list(cls, dim, items):
-        return cls(dim, tuple(TwoLevelGate.from_dict(d) for d in items))
 
 
 def su2_rotation(axis, angle):

@@ -318,9 +318,7 @@ def run_spam_fits(config):
             seed=qcore.derive_seed(config.seed, "spam-calibration"))
         fit = recon.estimate_spam_general(data,
                                           gate_depol_p=config.gate_depol_p)
-        true_probs = np.stack([
-            sim.circuit_probabilities(c, None, noise, check=False)
-            for c in circuits])
+        true_probs = sim.outcome_probabilities(circuits, None, noise)
         predicted = np.asarray(fit.diagnostics["predicted_probs"])
         entry = fit.to_dict()
         entry["predictive_residual"] = float(np.max(np.abs(predicted - true_probs)))

@@ -20,15 +20,18 @@ protocols here keep every circuit as shallow as possible:
 
 `completeness_check` verifies that a protocol determines its target (a
 state, or a process in Choi form) by the numerical rank of the design
-matrix of effective measurement operators.
+matrix of the reconstruction's measurement model
+(`recon.build_measurement_model`), so it checks the same forward model
+that the simulator and the fits use.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import qcore, readout
-from .circuits import GateSequence, TwoLevelGate, euler_decompose, sequence_unitary
+from . import qcore
+from .circuits import GateSequence, TwoLevelGate, euler_decompose
+from .recon import build_measurement_model
 
 PI = np.pi
 
@@ -53,16 +56,6 @@ class MeasurementCircuit:
     @property
     def gate_count(self):
         return len(self.prep) + len(self.meas)
-
-    def to_dict(self):
-        return {"label": self.label, "prep": self.prep.to_list(),
-                "meas": self.meas.to_list()}
-
-    @classmethod
-    def from_dict(cls, dim, d):
-        return cls(label=d["label"],
-                   prep=GateSequence.from_list(dim, d["prep"]),
-                   meas=GateSequence.from_list(dim, d["meas"]))
 
 
 @dataclass(frozen=True)
@@ -89,17 +82,6 @@ class TomographyProtocol:
 
     def __len__(self):
         return len(self.circuits)
-
-
-def protocol_to_dict(protocol):
-    return {"kind": protocol.kind, "dim": protocol.dim,
-            "circuits": [c.to_dict() for c in protocol.circuits]}
-
-
-def protocol_from_dict(d):
-    dim = int(d["dim"])
-    circuits = tuple(MeasurementCircuit.from_dict(dim, c) for c in d["circuits"])
-    return TomographyProtocol(kind=d["kind"], dim=dim, circuits=circuits)
 
 
 def level_pairs(dim):
@@ -264,38 +246,22 @@ def mub_protocol(dim):
     return TomographyProtocol("qst", dim, tuple(circuits))
 
 
-def _vec_real(op):
-    return np.concatenate([op.real.ravel(), op.imag.ravel()])
-
-
 def completeness_check(protocol, spam=None, rank_rtol=1e-8):
     """Numerical informational completeness of a protocol.
 
-    Builds the real design matrix whose rows are the vectorized effective
-    measurement operators (for 'qpt', the operators rho_i^T (x) P_ik that
-    act on the Choi matrix) and returns (rank, complete).  A protocol is
-    complete when the rank reaches d^2 for states or d^4 for processes.
-    `spam` optionally replaces the ideal preparation and readout with a
-    DiagonalSpamModel.
+    Returns (rank, complete): the numerical rank of the design matrix
+    whose rows are the vectorized operators of
+    `recon.build_measurement_model(protocol, spam)` (for 'qpt', the
+    operators rho_i^T (x) P_ik that act on the Choi matrix).  A protocol
+    is complete when the rank reaches d^2 for states or d^4 for
+    processes.  `spam` optionally replaces the ideal preparation and
+    readout with a DiagonalSpamModel.  The operators are Hermitian, so the
+    complex rows have the singular values of their real and imaginary
+    parts stacked.
     """
-    dim = protocol.dim
-    model = readout.ideal_spam_model(dim) if spam is None else spam
-    if model.dim != dim:
-        raise ValueError(f"SPAM model dimension {model.dim} != protocol dimension {dim}")
-    rho0 = model.initial_state()
-    povm = model.povm()
-    rows = []
-    for circuit in protocol.circuits:
-        mu = sequence_unitary(circuit.meas)
-        effects = [qcore.dagger(mu) @ p @ mu for p in povm]
-        if protocol.kind == "qst":
-            rows.extend(_vec_real(e) for e in effects)
-        else:
-            pu = sequence_unitary(circuit.prep)
-            rho_i = pu @ rho0 @ qcore.dagger(pu)
-            rows.extend(_vec_real(np.kron(rho_i.T, e)) for e in effects)
-    design = np.vstack(rows)
+    ops = build_measurement_model(protocol, spam=spam).operators
+    design = ops.reshape(-1, ops.shape[-1] ** 2)
     svals = np.linalg.svd(design, compute_uv=False)
     rank = int(np.sum(svals > rank_rtol * svals[0]))
-    target = dim ** 2 if protocol.kind == "qst" else dim ** 4
+    target = protocol.dim ** 2 if protocol.kind == "qst" else protocol.dim ** 4
     return rank, rank == target

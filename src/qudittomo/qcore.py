@@ -92,12 +92,14 @@ def depolarize(op, p):
     On trace-1 states this is the usual mixture with the maximally mixed
     state.  The linear extension above is self-adjoint, so the same
     function serves as the Heisenberg-picture dual acting on effects.
+    `op` may also be a stack (..., d, d), depolarized one by one.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing probability {p} outside [0, 1]")
     op = np.asarray(op, dtype=complex)
-    d = op.shape[0]
-    return (1.0 - p) * op + p * np.trace(op) * np.eye(d) / d
+    d = op.shape[-1]
+    tr = np.trace(op, axis1=-2, axis2=-1)[..., None, None]
+    return (1.0 - p) * op + p * tr * np.eye(d) / d
 
 
 def _psd_sqrt(a):

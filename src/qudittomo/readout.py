@@ -166,10 +166,6 @@ class DiagonalSpamModel:
         return {"populations": self.populations.tolist(),
                 "response": self.response.tolist()}
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(np.asarray(d["populations"]), np.asarray(d["response"]))
-
 
 def ideal_spam_model(dim):
     """Perfect preparation of level 0 and projective readout."""

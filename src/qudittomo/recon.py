@@ -115,7 +115,9 @@ def build_measurement_model(protocol, spam=None, gate_depol_p=0.0,
     `spam` is a DiagonalSpamModel or None for ideal preparation/readout.
     With `fold_gate_noise`, a depolarizing factor `gate_depol_p` is folded
     into the operators after every gate; by default gates are taken ideal
-    and only SPAM enters the model.
+    and only SPAM enters the model.  The folded model is the simulator's
+    forward model (`sim.outcome_probabilities`); the fits use the
+    default.
     """
     dim = protocol.dim
     model = readout.ideal_spam_model(dim) if spam is None else spam
@@ -130,11 +132,10 @@ def build_measurement_model(protocol, spam=None, gate_depol_p=0.0,
     ops = np.zeros((len(protocol.circuits), n_out, dd, dd), dtype=complex)
     for c, circuit in enumerate(protocol.circuits):
         if fold_gate_noise:
-            effects = list(povm)
+            effects = povm
             for g in reversed(circuit.meas.gates):
                 u = gate_unitary(g, dim)
-                effects = [qcore.dagger(u) @ qcore.depolarize(p, gate_depol_p) @ u
-                           for p in effects]
+                effects = qcore.dagger(u) @ qcore.depolarize(effects, gate_depol_p) @ u
         else:
             mu = sequence_unitary(circuit.meas)
             effects = [qcore.dagger(mu) @ p @ mu for p in povm]
@@ -260,7 +261,7 @@ def mle_state(data, model, dilution=0.1, tol=1e-10, max_iter=10000, pure=None):
     if stop_reason != "pure_kept":
         r = r_of(p)
         gap = _gap_bound(r, r @ rho) if p.min() > PROB_FLOOR else None
-    probs = np.real(np.einsum("ckij,ji->ck", model.operators, rho))
+    probs = model.probabilities(rho)
     return FitReport(
         estimate=rho,
         log_likelihood=ll,
@@ -337,7 +338,7 @@ def mle_state_pure(data, model, dilution=0.1, tol=1e-10, max_iter=10000):
             stop_reason = "tol"
             break
     rho = np.outer(psi, psi.conj())
-    probs = np.real(np.einsum("ckij,ji->ck", model.operators, rho))
+    probs = model.probabilities(rho)
     return FitReport(
         estimate=rho,
         log_likelihood=ll,
@@ -531,7 +532,7 @@ def mle_process(data, model, tol=1e-10, max_iter=10000):
         lam = (lam + qcore.dagger(lam)) / 2
         top = np.linalg.eigvalsh(g - np.kron(lam, np.eye(dim)))[-1]
         gap = max(float(lam.trace().real + dim * top - n_total), 0.0)
-    probs = np.real(np.einsum("ckij,ji->ck", model.operators, choi))
+    probs = model.probabilities(choi)
     tp_residual = np.abs(qcore.choi_output_trace(choi) - np.eye(dim)).max()
     return FitReport(
         estimate=choi,

@@ -2,9 +2,14 @@
 
 Every two-level gate is followed by a depolarizing channel of strength
 `gate_depol_p`; preparation and readout errors come from the configured
-initial state and readout POVM.  Protocols run with an equal shot split:
-floor(total / n) shots per circuit, one extra for the first total mod n
-circuits.  All sampling is reproducible from a 64-bit root seed.
+initial state and readout POVM.  Outcome probabilities come from the
+reconstruction's own forward model, `recon.build_measurement_model` with
+the gate noise folded in, so the simulator and the fits share one model
+of a circuit.  `circuit_probabilities` keeps an independent
+Schrodinger-picture computation as a reference for tests.  Protocols run
+with an equal shot split: floor(total / n) shots per circuit, one extra
+for the first total mod n circuits.  All sampling is reproducible from a
+64-bit root seed.
 """
 
 from dataclasses import dataclass
@@ -14,6 +19,7 @@ import numpy as np
 from . import qcore, readout
 from .circuits import gate_unitary
 from .protocols import TomographyProtocol
+from .recon import build_measurement_model
 
 
 @dataclass(frozen=True)
@@ -102,7 +108,10 @@ class NoiseConfig:
 
 
 def noisy_prep_state(circuit, noise):
-    """Initial state sent through the prep gates, depolarizing after each."""
+    """Initial state sent through the prep gates, depolarizing after each.
+
+    Reference oracle for tests, like `circuit_probabilities`.
+    """
     dim = circuit.dim
     rho = noise.initial_state(dim)
     for g in circuit.prep.gates:
@@ -119,6 +128,10 @@ def circuit_probabilities(circuit, truth, noise, check=True):
     `truth` is either None (the circuit measures the prepared state as in
     calibration), a d x d density matrix that replaces preparation
     entirely, or a d^2 x d^2 Choi matrix applied after preparation.
+
+    A reference oracle, kept for tests: it evolves the state gate by gate
+    in the Schrodinger picture, independently of the forward model that
+    `outcome_probabilities` uses.
     """
     dim = circuit.dim
     if truth is None:
@@ -150,6 +163,44 @@ def circuit_probabilities(circuit, truth, noise, check=True):
         raise ValueError(f"probability {probs.min()} below -1e-12; invalid inputs")
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()
+
+
+def outcome_probabilities(circuits, truth, noise):
+    """Outcome probability table (n_circuits, n_outcomes) under the noise model.
+
+    `truth` is None (the circuits measure the prepared state, as in
+    calibration: the identity channel after preparation), a d x d density
+    matrix that replaces preparation, or a d^2 x d^2 Choi matrix applied
+    after preparation.  The table is `build_measurement_model` of the
+    circuits under `noise.spam_model`, with the gate noise folded in,
+    applied to the truth, then clipped at 0 and renormalized per circuit.
+    """
+    circuits = tuple(circuits)
+    if not circuits:
+        raise ValueError("protocol has no circuits")
+    dim = circuits[0].dim
+    if truth is None:
+        kind, truth = "qpt", qcore.choi_from_unitary(np.eye(dim))
+    else:
+        truth = np.asarray(truth, dtype=complex)
+        if truth.shape == (dim, dim):
+            qcore.check_density_matrix(truth)
+            kind = "qst"
+        elif truth.shape == (dim * dim, dim * dim):
+            qcore.check_choi(truth, atol_tp=1e-8)
+            kind = "qpt"
+        else:
+            raise ValueError(
+                f"truth shape {truth.shape} fits neither a state nor a Choi "
+                f"matrix in dimension {dim}")
+    model = build_measurement_model(
+        TomographyProtocol(kind, dim, circuits), spam=noise.spam_model(dim),
+        gate_depol_p=noise.gate_depol_p, fold_gate_noise=True)
+    probs = model.probabilities(truth)
+    if probs.min() < -1e-12:
+        raise ValueError(f"probability {probs.min()} below -1e-12; invalid inputs")
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum(axis=1, keepdims=True)
 
 
 def allocate_shots(total_shots, n_circuits):
@@ -209,60 +260,27 @@ class CountsDataset:
         denom = np.where(self.shots > 0, self.shots, 1)[:, None]
         return self.counts / denom
 
-    def to_dict(self):
-        return {
-            "protocol_ref": self.protocol_ref,
-            "seed": int(self.seed),
-            "circuits": [
-                {"label": lab, "shots": int(s), "counts": np.asarray(c).tolist()}
-                for lab, s, c in zip(self.labels, self.shots, self.counts)
-            ],
-        }
 
-    @classmethod
-    def from_dict(cls, d):
-        labels = tuple(c["label"] for c in d["circuits"])
-        shots = np.array([c["shots"] for c in d["circuits"]])
-        counts = np.array([c["counts"] for c in d["circuits"]])
-        return cls(d["protocol_ref"], labels, shots, counts, int(d["seed"]))
-
-    def to_csv(self, path):
-        lines = ["circuit,label,outcome,count"]
-        for i, (lab, row) in enumerate(zip(self.labels, self.counts)):
-            for k, c in enumerate(row):
-                lines.append(f"{i},{lab},{k},{int(c) if float(c).is_integer() else c}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-
-def run_protocol(protocol, truth, noise, total_shots, seed, protocol_ref=None):
+def run_protocol(protocol, truth, noise, total_shots, seed):
     """Simulate counts for every circuit of a protocol.
 
-    `protocol` is a TomographyProtocol or a plain circuit list; `truth`
-    passes through to `circuit_probabilities`.  Sampling uses the child
-    stream (seed, "counts", 0) and is deterministic in the argument tuple.
+    `protocol` is a TomographyProtocol or a plain circuit list; the counts
+    are multinomial draws from `outcome_probabilities(circuits, truth,
+    noise)`.  Sampling uses the child stream (seed, "counts", 0) and is
+    deterministic in the argument tuple.
     """
     if isinstance(protocol, TomographyProtocol):
         circuits = protocol.circuits
-        ref = protocol_ref or f"{protocol.kind}-d{protocol.dim}-{len(circuits)}"
+        ref = f"{protocol.kind}-d{protocol.dim}-{len(circuits)}"
     else:
         circuits = tuple(protocol)
-        ref = protocol_ref or "circuits"
-    if not circuits:
-        raise ValueError("protocol has no circuits")
-    dim = circuits[0].dim
-    if truth is not None:
-        truth = np.asarray(truth, dtype=complex)
-        if truth.shape == (dim, dim):
-            qcore.check_density_matrix(truth)
-        elif truth.shape == (dim * dim, dim * dim):
-            qcore.check_choi(truth, atol_tp=1e-8)
+        ref = "circuits"
+    probs = outcome_probabilities(circuits, truth, noise)
     shots = allocate_shots(total_shots, len(circuits))
     rng = qcore.make_rng(seed, "counts")
-    counts = np.zeros((len(circuits), noise.readout_povm(dim).shape[0]), dtype=np.int64)
-    for i, circuit in enumerate(circuits):
-        probs = circuit_probabilities(circuit, truth, noise, check=False)
-        counts[i] = sample_counts(probs, shots[i], rng)
+    counts = np.zeros(probs.shape, dtype=np.int64)
+    for i, p in enumerate(probs):
+        counts[i] = sample_counts(p, shots[i], rng)
     labels = tuple(c.label for c in circuits)
     return CountsDataset(ref, labels, shots, counts, int(seed))
 

@@ -155,10 +155,3 @@ def test_gate_validation():
         GateSequence(2, (TwoLevelGate("x", 1.0, (0, 2)),))
     with pytest.raises(ValueError):
         gate_unitary(TwoLevelGate("x", 1.0, (0, 3)), 3)
-
-
-def test_gate_serialization_roundtrip():
-    g = TwoLevelGate("y", 0.25, (1, 4))
-    assert TwoLevelGate.from_dict(g.to_dict()) == g
-    seq = GateSequence(5, (g, TwoLevelGate("x", -1.5, (0, 1))))
-    assert GateSequence.from_list(5, seq.to_list()) == seq

@@ -10,8 +10,6 @@ from qudittomo.protocols import (
     mub_bases,
     mub_gate_compile,
     mub_protocol,
-    protocol_from_dict,
-    protocol_to_dict,
     qpt_preparations,
     qpt_two_level,
     qst_two_level,
@@ -199,12 +197,6 @@ def test_completeness_under_noisy_spam():
                                        0.01, 0.02)
     rank, complete = completeness_check(qst_two_level(3), spam=spam)
     assert (rank, complete) == (9, True)
-
-
-def test_protocol_serialization_roundtrip():
-    protocol = qpt_two_level(2)
-    back = protocol_from_dict(protocol_to_dict(protocol))
-    assert back == protocol
 
 
 def test_protocol_validation():

@@ -161,13 +161,6 @@ class TestDiagonalModels:
         with pytest.raises(ValueError):
             readout.DiagonalSpamModel(np.array([1.0, 0.0]), np.eye(3))
 
-    def test_model_serialization_roundtrip(self):
-        model = readout.gibbs_cascade_model(3, 1.0, np.array([0.0, 4.0, 6.0]),
-                                            0.01, 0.02)
-        back = readout.DiagonalSpamModel.from_dict(model.to_dict())
-        assert np.array_equal(back.populations, model.populations)
-        assert np.array_equal(back.response, model.response)
-
     def test_cold_noiseless_limit_is_ideal(self):
         model = readout.gibbs_cascade_model(3, 1e-4, np.array([0.0, 4.0, 6.0]),
                                             0.0, 0.0)

@@ -63,6 +63,40 @@ class TestMeasurementModel:
         got = model.probabilities(choi)
         assert np.max(np.abs(got - want)) < 1e-10
 
+    @pytest.mark.parametrize("gate_depol_p", [0.0, 0.02])
+    @pytest.mark.parametrize("spam", ["gibbs-cascade", "explicit"])
+    @pytest.mark.parametrize("truth_kind", ["none", "state", "choi"])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_simulated_probabilities_match_oracle(self, dim, truth_kind, spam,
+                                                  gate_depol_p):
+        # the simulator's forward model against the gate-by-gate
+        # Schrodinger-picture reference, circuit by circuit
+        rng = qcore.make_rng(23, f"oracle-{dim}-{truth_kind}-{spam}")
+        if spam == "gibbs-cascade":
+            noise = sim.NoiseConfig(
+                gate_depol_p=gate_depol_p,
+                init=sim.GibbsInit(1.0, tuple(np.linspace(0.0, 6.0, dim))),
+                readout=sim.LevelReadoutError(0.01, 0.02))
+        else:
+            a = rng.uniform(0.05, 1.0, size=dim)
+            b = rng.uniform(0.05, 1.0, size=(dim, dim))
+            noise = sim.NoiseConfig(gate_depol_p=gate_depol_p, init=a / a.sum(),
+                                    readout=b / b.sum(axis=0, keepdims=True))
+        if truth_kind == "state":
+            circuits = (protocols.qst_two_level(dim).circuits
+                        + protocols.mub_protocol(dim).circuits[1:])
+            truth = qcore.depolarize(
+                qcore.projector(qcore.haar_state(dim, rng)), 0.1)
+        else:
+            circuits = protocols.qpt_two_level(dim).circuits
+            truth = None if truth_kind == "none" else qcore.choi_depolarize(
+                qcore.choi_from_unitary(qcore.haar_unitary(dim, rng)), 0.1)
+        got = sim.outcome_probabilities(circuits, truth, noise)
+        want = np.stack([sim.circuit_probabilities(c, truth, noise)
+                         for c in circuits])
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12
+
     def test_qst_circuits_with_prep_gates_are_rejected(self):
         protocol = protocols.qpt_two_level(2)
         bad = protocols.TomographyProtocol("qst", 2, protocol.circuits[-3:])

@@ -1,7 +1,5 @@
 """Simulator semantics: probabilities, shot allocation, sampling, datasets."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -224,25 +222,6 @@ class TestRunProtocol:
         protocol = protocols.qst_two_level(3)
         with pytest.raises(ValueError):
             sim.run_protocol(protocol, np.eye(3) / 3, sim.NoiseConfig(), 0, seed=0)
-
-    def test_dataset_json_roundtrip(self):
-        protocol = protocols.qst_two_level(2)
-        data = sim.run_protocol(protocol, np.eye(2) / 2, sim.NoiseConfig(),
-                                1_000, seed=3)
-        back = sim.CountsDataset.from_dict(json.loads(json.dumps(data.to_dict())))
-        assert back.labels == data.labels
-        assert np.array_equal(back.counts, data.counts)
-        assert back.seed == data.seed
-
-    def test_dataset_csv_export(self, tmp_path):
-        protocol = protocols.qst_two_level(2)
-        data = sim.run_protocol(protocol, np.eye(2) / 2, sim.NoiseConfig(),
-                                600, seed=3)
-        path = tmp_path / "counts.csv"
-        data.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "circuit,label,outcome,count"
-        assert len(lines) == 1 + 3 * 2
 
     def test_dataset_rejects_inconsistent_counts(self):
         with pytest.raises(ValueError):
