@@ -73,8 +73,9 @@ def gate_unitary(gate, dim):
     j, k = gate.levels
     if k >= dim:
         raise ValueError(f"gate on levels {gate.levels} does not fit dimension {dim}")
+    r = su2_rotation(gate.axis, gate.angle)
     u = np.eye(dim, dtype=complex)
-    u[np.ix_([j, k], [j, k])] = su2_rotation(gate.axis, gate.angle)
+    u[j, j], u[j, k], u[k, j], u[k, k] = r[0, 0], r[0, 1], r[1, 0], r[1, 1]
     return u
 
 

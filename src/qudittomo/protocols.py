@@ -19,8 +19,8 @@ protocols here keep every circuit as shallow as possible:
   the diagonal preparation-and-readout error model.
 
 `completeness_check` verifies that a protocol determines its target (a
-state, or a process in Choi form) by the numerical rank of the design
-matrix of the reconstruction's measurement model
+state, or a process in Choi form) by the numerical rank of the real
+design matrix of the reconstruction's measurement model
 (`recon.build_measurement_model`), so it checks the same forward model
 that the simulator and the fits use.
 """
@@ -246,22 +246,21 @@ def mub_protocol(dim):
     return TomographyProtocol("qst", dim, tuple(circuits))
 
 
-def completeness_check(protocol, spam=None, rank_rtol=1e-8):
+def completeness_check(protocol, spam=None):
     """Numerical informational completeness of a protocol.
 
-    Returns (rank, complete): the numerical rank of the design matrix
-    whose rows are the vectorized operators of
-    `recon.build_measurement_model(protocol, spam)` (for 'qpt', the
-    operators rho_i^T (x) P_ik that act on the Choi matrix).  A protocol
-    is complete when the rank reaches d^2 for states or d^4 for
-    processes.  `spam` optionally replaces the ideal preparation and
-    readout with a DiagonalSpamModel.  The operators are Hermitian, so the
-    complex rows have the singular values of their real and imaginary
-    parts stacked.
+    Returns (rank, complete): the numerical rank (relative tolerance
+    1e-8) of the real design matrix `matrix` of
+    `recon.build_measurement_model(protocol, spam)`, one row per outcome
+    (for 'qpt', of the operators rho_i^T (x) P_ik that act on the Choi
+    matrix).  A protocol is complete when the rank reaches d^2 for states
+    or d^4 for processes.  `spam` optionally replaces the ideal
+    preparation and readout with a DiagonalSpamModel.  The operators are
+    Hermitian, so the real rows span a space of the same dimension as the
+    complex operators.
     """
-    ops = build_measurement_model(protocol, spam=spam).operators
-    design = ops.reshape(-1, ops.shape[-1] ** 2)
+    design = build_measurement_model(protocol, spam=spam).matrix
     svals = np.linalg.svd(design, compute_uv=False)
-    rank = int(np.sum(svals > rank_rtol * svals[0]))
+    rank = int(np.sum(svals > 1e-8 * svals[0]))
     target = protocol.dim ** 2 if protocol.kind == "qst" else protocol.dim ** 4
     return rank, rank == target

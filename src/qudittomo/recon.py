@@ -2,13 +2,16 @@
 
 A reconstruction model pairs each circuit with effective measurement
 operators computed from assumed preparation and readout (ideal by
-default, or any DiagonalSpamModel).  States are fitted by a diluted
-fixed-point iteration, processes by projected gradient ascent on the
-Choi matrix, and SPAM calibration parameters by structured solves: a
-closed form for the general diagonal model and a profile likelihood for
-the thermal one.  The process fit's projection is the exact Euclidean
-projection onto the CPTP set, computed by a Newton solve for a d x d
-Lagrange multiplier of the trace-preservation constraint.
+default, or any DiagonalSpamModel), built gate by gate on the code path
+that also gives the simulator its model; the fits and the completeness
+check use it only as a real design matrix A, through A x and A^T w.
+States are fitted by a diluted fixed-point iteration, processes by
+projected gradient ascent on the Choi matrix, and SPAM calibration
+parameters by structured solves: a closed form for the general diagonal
+model and a profile likelihood for the thermal one.  The process fit's
+projection is the exact Euclidean projection onto the CPTP set, computed
+by a Newton solve for a d x d Lagrange multiplier of the
+trace-preservation constraint.
 
 The general diagonal model has d^2 - 1 parameters, but its d
 calibration circuits determine only d(d - 1) frequencies, so its
@@ -28,11 +31,13 @@ import scipy.optimize
 import scipy.special
 
 from . import qcore, readout
-from .circuits import gate_unitary, sequence_unitary
+from .circuits import gate_unitary
 
 PROB_FLOOR = 1e-12
-# default level of `select_rank`'s likelihood-ratio test, which the early
-# rank decision of `mle_state` certifies against
+# weight of the current iterate in each step of the state fits
+DILUTION = 0.1
+# level of `select_rank`'s likelihood-ratio test, which the early rank
+# decision of `mle_state` certifies against
 RANK_SIGNIFICANCE = 0.95
 
 
@@ -88,6 +93,11 @@ class MeasurementModel:
     tomography D = d and probabilities are Tr(rho B_ik); for process
     tomography D = d^2, the operators are rho_i^T (x) P_ik, and
     probabilities are Tr(J A_ik) for the Choi matrix J.
+
+    The operators are Hermitian, so Re Tr(A x) = sum_ij (Re A_ij Re x_ij
+    + Im A_ij Im x_ij) for any x: with `matrix`, one real row per outcome,
+    probabilities are one matrix-vector product, and so is its adjoint
+    `weighted_sum`, which gives the gradients of the fits.
     """
 
     kind: str
@@ -103,27 +113,39 @@ class MeasurementModel:
     def n_outcomes(self):
         return self.operators.shape[1]
 
+    @property
+    def matrix(self):
+        """Real (n_circuits * n_outcomes, 2 D^2) view of `operators`, no copy."""
+        dd = self.operators.shape[-1]
+        return self.operators.reshape(-1, dd * dd).view(np.float64)
+
     def probabilities(self, x):
-        """Outcome probability table (n_circuits, n_outcomes) for state or Choi x."""
-        return np.real(np.einsum("ckij,ji->ck", self.operators, x))
+        """Outcome probability table (n_circuits, n_outcomes): Re Tr(A_ik x)."""
+        x = np.ascontiguousarray(x, dtype=complex)
+        p = self.matrix @ x.reshape(-1).view(np.float64)
+        return p.reshape(self.n_circuits, self.n_outcomes)
+
+    def weighted_sum(self, w):
+        """sum_n w_n A_n for real weights w, one per row of `matrix`."""
+        dd = self.operators.shape[-1]
+        return (np.asarray(w, dtype=float) @ self.matrix).view(complex).reshape(dd, dd)
 
 
-def build_measurement_model(protocol, spam=None, gate_depol_p=0.0,
-                            fold_gate_noise=False):
+def build_measurement_model(protocol, spam=None, gate_depol_p=0.0):
     """Effective operators of `protocol` under an assumed SPAM model.
 
     `spam` is a DiagonalSpamModel or None for ideal preparation/readout.
-    With `fold_gate_noise`, a depolarizing factor `gate_depol_p` is folded
-    into the operators after every gate; by default gates are taken ideal
-    and only SPAM enters the model.  The folded model is the simulator's
-    forward model (`sim.outcome_probabilities`); the fits use the
-    default.
+    The operators are built gate by gate in the Heisenberg picture, with
+    a depolarizing factor `gate_depol_p` folded in after every gate.  The
+    simulator (`sim.outcome_probabilities`) uses the known gate noise; the
+    fits use the default 0, which depolarizes nothing and takes the gates
+    as ideal, so only SPAM enters their model.
     """
     dim = protocol.dim
     model = readout.ideal_spam_model(dim) if spam is None else spam
     if model.dim != dim:
         raise ValueError(f"SPAM dimension {model.dim} != protocol dimension {dim}")
-    if fold_gate_noise and not 0.0 <= gate_depol_p <= 1.0:
+    if not 0.0 <= gate_depol_p <= 1.0:
         raise ValueError(f"gate_depol_p must lie in [0, 1], got {gate_depol_p}")
     rho0 = model.initial_state()
     povm = model.povm()
@@ -131,28 +153,20 @@ def build_measurement_model(protocol, spam=None, gate_depol_p=0.0,
     dd = dim if protocol.kind == "qst" else dim * dim
     ops = np.zeros((len(protocol.circuits), n_out, dd, dd), dtype=complex)
     for c, circuit in enumerate(protocol.circuits):
-        if fold_gate_noise:
-            effects = povm
-            for g in reversed(circuit.meas.gates):
-                u = gate_unitary(g, dim)
-                effects = qcore.dagger(u) @ qcore.depolarize(effects, gate_depol_p) @ u
-        else:
-            mu = sequence_unitary(circuit.meas)
-            effects = [qcore.dagger(mu) @ p @ mu for p in povm]
+        effects = povm
+        for g in reversed(circuit.meas.gates):
+            u = gate_unitary(g, dim)
+            effects = qcore.dagger(u) @ qcore.depolarize(effects, gate_depol_p) @ u
         if protocol.kind == "qst":
             if len(circuit.prep):
                 raise ValueError(
                     f"state-tomography circuit {circuit.label!r} has prep gates")
-            ops[c] = np.stack(effects)
+            ops[c] = effects
         else:
-            if fold_gate_noise:
-                rho_i = rho0
-                for g in circuit.prep.gates:
-                    u = gate_unitary(g, dim)
-                    rho_i = qcore.depolarize(u @ rho_i @ qcore.dagger(u), gate_depol_p)
-            else:
-                pu = sequence_unitary(circuit.prep)
-                rho_i = pu @ rho0 @ qcore.dagger(pu)
+            rho_i = rho0
+            for g in circuit.prep.gates:
+                u = gate_unitary(g, dim)
+                rho_i = qcore.depolarize(u @ rho_i @ qcore.dagger(u), gate_depol_p)
             ops[c] = np.stack([np.kron(rho_i.T, e) for e in effects])
     labels = tuple(c.label for c in protocol.circuits)
     return MeasurementModel(protocol.kind, dim, labels, ops)
@@ -169,6 +183,16 @@ def _check_alignment(data, model):
         raise ValueError("dataset contains no counts")
 
 
+def _floored_probs(model, x):
+    return np.maximum(model.probabilities(x).ravel(), PROB_FLOOR)
+
+
+def _hermitian_sum(model, w):
+    """Hermitian part of sum_n w_n A_n over the model's outcomes."""
+    s = model.weighted_sum(w)
+    return (s + qcore.dagger(s)) / 2
+
+
 def _residual(probs, data):
     freq = data.frequencies()
     mask = data.shots > 0
@@ -177,10 +201,10 @@ def _residual(probs, data):
     return float(np.max(np.abs(probs[mask] - freq[mask])))
 
 
-def mle_state(data, model, dilution=0.1, tol=1e-10, max_iter=10000, pure=None):
+def mle_state(data, model, tol=1e-10, max_iter=10000, pure=None):
     """Maximum-likelihood state estimate by the diluted R rho R iteration.
 
-    Iterates rho <- (1 - dilution) * N[R rho R] + dilution * rho with
+    Iterates rho <- (1 - DILUTION) * N[R rho R] + DILUTION * rho with
     R = sum_ik (n_ik / p_ik) B_ik, which keeps the iterate a valid state.
     If a step would lower the log-likelihood the update is pulled toward
     the current iterate until it does not, so the likelihood trace is
@@ -195,38 +219,30 @@ def mle_state(data, model, dilution=0.1, tol=1e-10, max_iter=10000, pure=None):
 
     Early rank decision: given `pure`, the `mle_state_pure` report of the
     same data, the fit stops ("pure_kept", not converged) as soon as the
-    bound proves that `select_rank(full, pure, dim)` keeps `pure` at its
-    default significance, checked every 4th iteration.  The check does
-    not change the iterates, so a fit that is not stopped early returns
-    the same bytes as without `pure`, and `select_rank` returns the same
-    pure report as after a full run.
+    bound proves that `select_rank(full, pure, dim)` keeps `pure`,
+    checked every 4th iteration.  The check does not change the
+    iterates, so a fit that is not stopped early returns the same bytes
+    as without `pure`, and `select_rank` returns the same pure report as
+    after a full run.
     """
     if model.kind != "qst":
         raise ValueError(f"mle_state needs a 'qst' model, got {model.kind!r}")
     _check_alignment(data, model)
     dim = model.dim
-    ops = model.operators.reshape(-1, dim, dim)
     counts = np.asarray(data.counts, dtype=float).ravel()
     n_total = counts.sum()
 
-    def probs_of(rho):
-        return np.maximum(np.einsum("nij,ji->n", ops, rho).real, PROB_FLOOR)
-
-    def r_of(p):
-        r = np.einsum("n,nij->ij", counts / p, ops)
-        return (r + r.conj().T) / 2
-
-    threshold = None if pure is None else _rank_threshold(dim, RANK_SIGNIFICANCE)
-    full_step = 1.0 - dilution
+    threshold = None if pure is None else _rank_threshold(dim)
+    full_step = 1.0 - DILUTION
     min_gain = tol * max(n_total, 1.0)
     rho = np.eye(dim, dtype=complex) / dim
-    p = probs_of(rho)
+    p = _floored_probs(model, rho)
     ll = float(counts @ np.log(p))
     trace = [ll]
     stop_reason = "max_iter"
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        r = r_of(p)
+        r = _hermitian_sum(model, counts / p)
         r_rho = r @ rho
         if threshold is not None and iterations % 4 == 1:
             if not _keeps_pure(ll, pure.log_likelihood, threshold):
@@ -242,12 +258,12 @@ def mle_state(data, model, dilution=0.1, tol=1e-10, max_iter=10000, pure=None):
         cand = (cand + cand.conj().T) / 2
         step = full_step
         rho_new = step * cand + (1.0 - step) * rho
-        p_new = probs_of(rho_new)
+        p_new = _floored_probs(model, rho_new)
         ll_new = float(counts @ np.log(p_new))
         while ll_new < ll and step > 1e-8:
             step /= 2.0
             rho_new = step * cand + (1.0 - step) * rho
-            p_new = probs_of(rho_new)
+            p_new = _floored_probs(model, rho_new)
             ll_new = float(counts @ np.log(p_new))
         if ll_new < ll:
             stop_reason = "stalled"
@@ -259,7 +275,7 @@ def mle_state(data, model, dilution=0.1, tol=1e-10, max_iter=10000, pure=None):
             stop_reason = "tol"
             break
     if stop_reason != "pure_kept":
-        r = r_of(p)
+        r = _hermitian_sum(model, counts / p)
         gap = _gap_bound(r, r @ rho) if p.min() > PROB_FLOOR else None
     probs = model.probabilities(rho)
     return FitReport(
@@ -278,11 +294,11 @@ def _gap_bound(r, r_rho):
     return max(float(np.linalg.eigvalsh(r)[-1]) - r_rho.trace().real, 0.0)
 
 
-def mle_state_pure(data, model, dilution=0.1, tol=1e-10, max_iter=10000):
+def mle_state_pure(data, model, tol=1e-10, max_iter=10000):
     """Rank-1 restriction of `mle_state`: the estimate is a pure state.
 
-    Iterates psi <- normalize((1 - dilution) * normalize(R psi)
-    + dilution * psi), the vector form of the diluted fixed point, with
+    Iterates psi <- normalize((1 - DILUTION) * normalize(R psi)
+    + DILUTION * psi), the vector form of the diluted fixed point, with
     the same pull-back safeguard, stopping rule and `stop_reason` as
     `mle_state`.  The start vector is the dominant eigenvector of R at
     the maximally mixed state; a poor local maximum only lowers this
@@ -293,19 +309,16 @@ def mle_state_pure(data, model, dilution=0.1, tol=1e-10, max_iter=10000):
         raise ValueError(f"mle_state_pure needs a 'qst' model, got {model.kind!r}")
     _check_alignment(data, model)
     dim = model.dim
-    ops = model.operators.reshape(-1, dim, dim)
     counts = np.asarray(data.counts, dtype=float).ravel()
     n_total = counts.sum()
 
     def probs_of(v):
-        return np.maximum(np.einsum("i,nij,j->n", v.conj(), ops, v).real,
-                          PROB_FLOOR)
+        return _floored_probs(model, np.outer(v, v.conj()))
 
-    full_step = 1.0 - dilution
+    full_step = 1.0 - DILUTION
     min_gain = tol * max(n_total, 1.0)
-    p0 = np.clip(np.real(np.einsum("nii->n", ops)) / dim, PROB_FLOOR, None)
-    r0 = np.einsum("n,nij->ij", counts / p0, ops)
-    _, vecs = np.linalg.eigh((r0 + r0.conj().T) / 2)
+    p0 = _floored_probs(model, np.eye(dim) / dim)
+    _, vecs = np.linalg.eigh(_hermitian_sum(model, counts / p0))
     psi = vecs[:, -1]
     p = probs_of(psi)
     ll = float(counts @ np.log(p))
@@ -313,8 +326,7 @@ def mle_state_pure(data, model, dilution=0.1, tol=1e-10, max_iter=10000):
     stop_reason = "max_iter"
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        r = np.einsum("n,nij->ij", counts / p, ops)
-        r = (r + r.conj().T) / 2
+        r = _hermitian_sum(model, counts / p)
         cand = r @ psi
         cand = cand / np.linalg.norm(cand)
         step = full_step
@@ -350,44 +362,42 @@ def mle_state_pure(data, model, dilution=0.1, tol=1e-10, max_iter=10000):
     )
 
 
-# chi-squared thresholds of the rank test, one per (dim, significance)
+# chi-squared thresholds of the rank test, one per dim
 _RANK_THRESHOLDS = {}
 
 
-def _rank_threshold(dim, significance):
-    key = (dim, significance)
-    if key not in _RANK_THRESHOLDS:
+def _rank_threshold(dim):
+    if dim not in _RANK_THRESHOLDS:
         dof = (dim * dim - 1) - (2 * dim - 2)
         # the chi-squared quantile, as scipy.stats.chi2.ppf computes it;
         # scipy.stats itself is slow to import
-        _RANK_THRESHOLDS[key] = float(
-            2.0 * scipy.special.gammaincinv(dof / 2, significance))
-    return _RANK_THRESHOLDS[key]
+        _RANK_THRESHOLDS[dim] = float(
+            2.0 * scipy.special.gammaincinv(dof / 2, RANK_SIGNIFICANCE))
+    return _RANK_THRESHOLDS[dim]
 
 
 def _keeps_pure(ll_full, ll_pure, threshold):
     return 2.0 * (ll_full - ll_pure) <= threshold
 
 
-def select_rank(full, pure, dim, significance=RANK_SIGNIFICANCE):
+def select_rank(full, pure, dim):
     """Keep the pure-state fit unless the likelihood ratio rejects it.
 
     A full-rank density matrix has d^2 - 1 free real parameters and a
     pure state 2d - 2; twice the log-likelihood gap between the nested
     fits is asymptotically chi-squared with the difference as degrees of
-    freedom.  Near-pure states at modest sample sizes are estimated much
-    better by the restricted fit, which cannot spill weight onto
-    spurious eigenvectors of the full-rank maximizer.
+    freedom; the test runs at level RANK_SIGNIFICANCE.  Near-pure states
+    at modest sample sizes are estimated much better by the restricted
+    fit, which cannot spill weight onto spurious eigenvectors of the
+    full-rank maximizer.
 
     `full` may come from `mle_state(..., pure=pure)`: when that fit
     stopped early ("pure_kept") its likelihood is below the certified
-    bound that passed this same test at the default significance, so
-    `pure` is returned, exactly as after a full run; a larger
-    `significance` keeps that guarantee, a smaller one does not.  The
-    threshold is computed once per (dim, significance) and shared with
-    that early stop.
+    bound that passed this same test, so `pure` is returned, exactly as
+    after a full run.  The threshold is computed once per dim and shared
+    with that early stop.
     """
-    threshold = _rank_threshold(dim, significance)
+    threshold = _rank_threshold(dim)
     if _keeps_pure(full.log_likelihood, pure.log_likelihood, threshold):
         return pure
     return full
@@ -487,27 +497,22 @@ def mle_process(data, model, tol=1e-10, max_iter=10000):
     _check_alignment(data, model)
     dim = model.dim
     d2 = dim ** 2
-    ops = model.operators.reshape(-1, d2, d2)
     counts = np.asarray(data.counts, dtype=float).ravel()
     n_total = counts.sum()
 
-    def probs_of(j):
-        return np.clip(np.real(np.einsum("nij,ji->n", ops, j)), PROB_FLOOR, None)
-
     choi = np.eye(d2, dtype=complex) / dim
-    p = probs_of(choi)
+    p = _floored_probs(model, choi)
     ll = float(counts @ np.log(p))
     gamma = 0.3
     stop_reason = "max_iter"
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        grad = np.einsum("n,nij->ij", counts / p, ops) / max(n_total, 1.0)
-        grad = (grad + qcore.dagger(grad)) / 2
+        grad = _hermitian_sum(model, counts / p) / max(n_total, 1.0)
         accepted = False
         first_try = True
         while gamma >= 1e-12:
             cand = project_cptp(choi + gamma * grad)
-            p_new = probs_of(cand)
+            p_new = _floored_probs(model, cand)
             ll_new = float(counts @ np.log(p_new))
             if ll_new > ll:
                 accepted = True
@@ -526,8 +531,7 @@ def mle_process(data, model, tol=1e-10, max_iter=10000):
             break
     gap = None
     if p.min() > PROB_FLOOR:
-        g = np.einsum("n,nij->ij", counts / p, ops)
-        g = (g + qcore.dagger(g)) / 2
+        g = _hermitian_sum(model, counts / p)
         lam = qcore.choi_output_trace(g @ choi)
         lam = (lam + qcore.dagger(lam)) / 2
         top = np.linalg.eigvalsh(g - np.kron(lam, np.eye(dim)))[-1]

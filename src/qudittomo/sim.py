@@ -3,8 +3,8 @@
 Every two-level gate is followed by a depolarizing channel of strength
 `gate_depol_p`; preparation and readout errors come from the configured
 initial state and readout POVM.  Outcome probabilities come from the
-reconstruction's own forward model, `recon.build_measurement_model` with
-the gate noise folded in, so the simulator and the fits share one model
+reconstruction's own forward model, `recon.build_measurement_model` at
+the configured gate noise, so the simulator and the fits share one model
 of a circuit.  `circuit_probabilities` keeps an independent
 Schrodinger-picture computation as a reference for tests.  Protocols run
 with an equal shot split: floor(total / n) shots per circuit, one extra
@@ -172,8 +172,8 @@ def outcome_probabilities(circuits, truth, noise):
     calibration: the identity channel after preparation), a d x d density
     matrix that replaces preparation, or a d^2 x d^2 Choi matrix applied
     after preparation.  The table is `build_measurement_model` of the
-    circuits under `noise.spam_model`, with the gate noise folded in,
-    applied to the truth, then clipped at 0 and renormalized per circuit.
+    circuits under `noise.spam_model` and `noise.gate_depol_p`, applied
+    to the truth, then clipped at 0 and renormalized per circuit.
     """
     circuits = tuple(circuits)
     if not circuits:
@@ -195,7 +195,7 @@ def outcome_probabilities(circuits, truth, noise):
                 f"matrix in dimension {dim}")
     model = build_measurement_model(
         TomographyProtocol(kind, dim, circuits), spam=noise.spam_model(dim),
-        gate_depol_p=noise.gate_depol_p, fold_gate_noise=True)
+        gate_depol_p=noise.gate_depol_p)
     probs = model.probabilities(truth)
     if probs.min() < -1e-12:
         raise ValueError(f"probability {probs.min()} below -1e-12; invalid inputs")
@@ -227,11 +227,9 @@ def sample_counts(probs, shots, rng):
 class CountsDataset:
     """Measured counts for an ordered family of circuits."""
 
-    protocol_ref: str
     labels: tuple
     shots: np.ndarray
     counts: np.ndarray
-    seed: int
 
     def __post_init__(self):
         labels = tuple(self.labels)
@@ -269,12 +267,8 @@ def run_protocol(protocol, truth, noise, total_shots, seed):
     noise)`.  Sampling uses the child stream (seed, "counts", 0) and is
     deterministic in the argument tuple.
     """
-    if isinstance(protocol, TomographyProtocol):
-        circuits = protocol.circuits
-        ref = f"{protocol.kind}-d{protocol.dim}-{len(circuits)}"
-    else:
-        circuits = tuple(protocol)
-        ref = "circuits"
+    circuits = (protocol.circuits if isinstance(protocol, TomographyProtocol)
+                else tuple(protocol))
     probs = outcome_probabilities(circuits, truth, noise)
     shots = allocate_shots(total_shots, len(circuits))
     rng = qcore.make_rng(seed, "counts")
@@ -282,7 +276,7 @@ def run_protocol(protocol, truth, noise, total_shots, seed):
     for i, p in enumerate(probs):
         counts[i] = sample_counts(p, shots[i], rng)
     labels = tuple(c.label for c in circuits)
-    return CountsDataset(ref, labels, shots, counts, int(seed))
+    return CountsDataset(labels, shots, counts)
 
 
 def simulate_level_reads(dim, noise, total_shots, seed):
@@ -301,4 +295,4 @@ def simulate_level_reads(dim, noise, total_shots, seed):
         clicks = rng.binomial(shots[j], p_click)
         counts[j] = (shots[j] - clicks, clicks)
     labels = tuple(f"read{j}" for j in range(dim))
-    return CountsDataset("level-reads", labels, shots, counts, int(seed))
+    return CountsDataset(labels, shots, counts)

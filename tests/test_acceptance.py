@@ -22,8 +22,8 @@ def exact_dataset(circuits, truth, noise, shots):
     probs = np.stack([sim.circuit_probabilities(c, truth, noise, check=False)
                       for c in circuits])
     per = np.full(len(circuits), float(shots))
-    return sim.CountsDataset("exact", tuple(c.label for c in circuits),
-                             per, probs * shots, seed=0)
+    return sim.CountsDataset(tuple(c.label for c in circuits),
+                             per, probs * shots)
 
 
 def calibration_loglik(data, model, gate_depol_p, dim):
@@ -208,8 +208,8 @@ def test_criterion_8_solver_self_consistency():
     for j in range(3):
         p = float(np.real(np.trace(rho0 @ noise.level_effect(3, j))))
         counts[j] = ((1 - p) * shots, p * shots)
-    reads = sim.CountsDataset("exact", ("read0", "read1", "read2"),
-                              np.full(3, float(shots)), counts, seed=0)
+    reads = sim.CountsDataset(("read0", "read1", "read2"),
+                              np.full(3, float(shots)), counts)
     est = recon.estimate_spam_gibbs(reads, np.array([0.0, 4.0, 6.0])).estimate
     gibbs_dev = max(abs(est["temperature"] - 1.0), abs(est["b0"] - 0.01),
                     abs(est["b1"] - 0.02))

@@ -22,22 +22,53 @@ def exact_dataset(protocol, truth, noise, shots=10 ** 6):
                       for c in protocol.circuits])
     n = len(protocol.circuits)
     per = np.full(n, float(shots))
-    return sim.CountsDataset("exact", tuple(c.label for c in protocol.circuits),
-                             per, probs * shots, seed=0)
+    return sim.CountsDataset(tuple(c.label for c in protocol.circuits),
+                             per, probs * shots)
 
 
 class TestMeasurementModel:
-    def test_ideal_qst_operators_are_rotated_projectors(self):
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    @pytest.mark.parametrize("family", ["qst_two_level", "mub_protocol",
+                                        "qpt_two_level"])
+    def test_ideal_qst_operators_are_rotated_projectors(self, family, dim):
+        # the gate-by-gate build against the product unitaries of the
+        # circuits: U^H P_k U, and rho_i^T (x) U^H P_k U for processes
         from qudittomo.circuits import sequence_unitary
-        protocol = protocols.qst_two_level(3)
+        protocol = getattr(protocols, family)(dim)
         model = recon.build_measurement_model(protocol)
+        rho0 = qcore.projector(qcore.ket(0, dim))
         for c, circuit in enumerate(protocol.circuits):
             mu = sequence_unitary(circuit.meas)
-            for k in range(3):
-                pk = np.zeros((3, 3), dtype=complex)
+            pu = sequence_unitary(circuit.prep)
+            rho_i = pu @ rho0 @ qcore.dagger(pu)
+            for k in range(dim):
+                pk = np.zeros((dim, dim), dtype=complex)
                 pk[k, k] = 1.0
                 want = qcore.dagger(mu) @ pk @ mu
+                if protocol.kind == "qpt":
+                    want = np.kron(rho_i.T, want)
                 assert np.max(np.abs(model.operators[c, k] - want)) < 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    @pytest.mark.parametrize("family", ["qst_two_level", "mub_protocol",
+                                        "qpt_two_level"])
+    def test_real_design_matrix_matches_einsum(self, family, dim):
+        protocol = getattr(protocols, family)(dim)
+        noise = sim.NoiseConfig(init=sim.GibbsInit(1.0, tuple(range(dim))),
+                                readout=sim.LevelReadoutError(0.01, 0.02))
+        model = recon.build_measurement_model(protocol, spam=noise.spam_model(dim))
+        ops = model.operators
+        dd = ops.shape[-1]
+        assert model.matrix.shape == (model.n_circuits * model.n_outcomes, 2 * dd * dd)
+        assert np.shares_memory(model.matrix, model.operators)
+        rng = qcore.make_rng(24, f"matrix-{family}-{dim}")
+        # a non-Hermitian x: Re Tr(A x) holds for any x when A is Hermitian
+        x = rng.normal(size=(dd, dd)) + 1j * rng.normal(size=(dd, dd))
+        want = np.real(np.einsum("ckij,ji->ck", ops, x))
+        assert np.max(np.abs(model.probabilities(x) - want)) < 1e-12
+        w = rng.uniform(0.0, 2.0, size=model.n_circuits * model.n_outcomes)
+        want = np.einsum("n,nij->ij", w, ops.reshape(-1, dd, dd))
+        assert np.max(np.abs(model.weighted_sum(w) - want)) < 1e-12
 
     def test_true_spam_model_matches_simulator(self):
         # with no gate noise, model probabilities equal simulated ones
@@ -55,8 +86,7 @@ class TestMeasurementModel:
     def test_folded_gate_noise_matches_simulator(self):
         noise = sim.NoiseConfig(gate_depol_p=0.02)
         protocol = protocols.qpt_two_level(2)
-        model = recon.build_measurement_model(protocol, gate_depol_p=0.02,
-                                              fold_gate_noise=True)
+        model = recon.build_measurement_model(protocol, gate_depol_p=0.02)
         choi = qcore.choi_from_unitary(qcore.haar_unitary(2, qcore.make_rng(22)))
         want = np.stack([sim.circuit_probabilities(c, choi, noise, check=False)
                          for c in protocol.circuits])
@@ -108,8 +138,8 @@ class TestMeasurementModel:
         model = recon.build_measurement_model(protocol)
         truth = np.eye(3) / 3
         data = sim.run_protocol(protocol, truth, sim.NoiseConfig(), 7_000, seed=0)
-        shuffled = sim.CountsDataset("x", data.labels[::-1], data.shots,
-                                     data.counts, seed=0)
+        shuffled = sim.CountsDataset(data.labels[::-1], data.shots,
+                                     data.counts)
         with pytest.raises(ValueError):
             recon.mle_state(shuffled, model)
 
@@ -275,7 +305,7 @@ class TestStateFitReports:
         for dim in (2, 3, 5):
             dof = (dim * dim - 1) - (2 * dim - 2)
             want = scipy.stats.chi2.ppf(recon.RANK_SIGNIFICANCE, dof)
-            assert recon._rank_threshold(dim, recon.RANK_SIGNIFICANCE) == want
+            assert recon._rank_threshold(dim) == want
             # the comparison is inclusive at the threshold
             pure = SimpleNamespace(log_likelihood=0.0)
             edge = SimpleNamespace(log_likelihood=want / 2)
@@ -361,8 +391,7 @@ class TestEarlyRankDecision:
             truth = qcore.depolarize(qcore.projector(qcore.haar_state(3, rng)), depol)
             probs = np.clip(model.probabilities(truth), 0.0, None)
             counts = np.stack([rng.multinomial(20_000, q / q.sum()) for q in probs])
-            data = sim.CountsDataset("dead-level", model.labels,
-                                     counts.sum(axis=1), counts, seed=606)
+            data = sim.CountsDataset(model.labels, counts.sum(axis=1), counts)
             assert np.all(counts[:, 2] == 0)
             pure = recon.mle_state_pure(data, model)
             plain = recon.mle_state(data, model)
@@ -569,8 +598,8 @@ def exact_calibration(dim, shots=10 ** 6):
     probs = np.stack([
         sim.circuit_probabilities(c, None, calibration_noise(dim), check=False)
         for c in circuits])
-    data = sim.CountsDataset("exact", tuple(c.label for c in circuits),
-                             np.full(dim, float(shots)), probs * shots, seed=0)
+    data = sim.CountsDataset(tuple(c.label for c in circuits),
+                             np.full(dim, float(shots)), probs * shots)
     return data, probs
 
 
@@ -602,8 +631,8 @@ class TestSpamGeneral:
         circuits = protocols.spam_calibration_circuits(3)
         probs = np.stack([sim.circuit_probabilities(c, None, sim.NoiseConfig())
                           for c in circuits])
-        data = sim.CountsDataset("exact", tuple(c.label for c in circuits),
-                                 np.full(3, 1e6), probs * 1e6, seed=0)
+        data = sim.CountsDataset(tuple(c.label for c in circuits),
+                                 np.full(3, 1e6), probs * 1e6)
         report = recon.estimate_spam_general(data)
         assert np.max(np.abs(report.estimate.populations - [1, 0, 0])) < 1e-3
         assert np.max(np.abs(report.estimate.response - np.eye(3))) < 1e-3
@@ -697,8 +726,7 @@ class TestSpamGeneral:
         data, _ = exact_calibration(3, shots=10 ** 4)
         counts = np.round(data.counts)
         counts[1, 2] = 0.0  # after flip (0,1) outcome 2 was never seen
-        data = sim.CountsDataset("zero", data.labels, counts.sum(axis=1),
-                                 counts, seed=0)
+        data = sim.CountsDataset(data.labels, counts.sum(axis=1), counts)
         report = recon.estimate_spam_general(data, gate_depol_p=0.001)
         diag = report.diagnostics
         assert diag["branch"] == "fallback" and diag["min_response"] < -1e-9
@@ -738,12 +766,12 @@ class TestSpamGeneral:
     def test_rejects_degenerate_data(self):
         circuits = protocols.spam_calibration_circuits(3)
         labels = tuple(c.label for c in circuits)
-        zero = sim.CountsDataset("z", labels, np.zeros(3, dtype=int),
-                                 np.zeros((3, 3), dtype=int), seed=0)
+        zero = sim.CountsDataset(labels, np.zeros(3, dtype=int),
+                                 np.zeros((3, 3), dtype=int))
         with pytest.raises(ValueError):
             recon.estimate_spam_general(zero)
-        wrong_shape = sim.CountsDataset("w", labels[:2], np.full(2, 9),
-                                        np.full((2, 3), 3), seed=0)
+        wrong_shape = sim.CountsDataset(labels[:2], np.full(2, 9),
+                                        np.full((2, 3), 3))
         with pytest.raises(ValueError):
             recon.estimate_spam_general(wrong_shape)
 
@@ -772,8 +800,8 @@ class TestSpamGibbs:
         for j in range(3):
             p = float(np.real(np.trace(rho0 @ noise.level_effect(3, j))))
             counts[j] = ((1 - p) * shots, p * shots)
-        data = sim.CountsDataset("exact", ("read0", "read1", "read2"),
-                                 np.full(3, float(shots)), counts, seed=0)
+        data = sim.CountsDataset(("read0", "read1", "read2"),
+                                 np.full(3, float(shots)), counts)
         report = recon.estimate_spam_gibbs(data, np.array([0.0, 4.0, 6.0]))
         assert abs(report.estimate["temperature"] - 1.0) < 1e-4
         assert abs(report.estimate["b0"] - 0.01) < 1e-4
@@ -798,8 +826,8 @@ class TestSpamGibbs:
         for j in range(3):
             p = float(np.real(np.trace(rho0 @ noise.level_effect(3, j))))
             counts[j] = ((1 - p) * shots, p * shots)
-        data = sim.CountsDataset("exact", ("read0", "read1", "read2"),
-                                 np.full(3, float(shots)), counts, seed=0)
+        data = sim.CountsDataset(("read0", "read1", "read2"),
+                                 np.full(3, float(shots)), counts)
         report = recon.estimate_spam_gibbs(data, np.array([0.0, 4.0, 6.0]))
         assert report.estimate["b0"] <= 1e-4
         assert report.estimate["b1"] <= 1e-4
@@ -810,7 +838,7 @@ class TestSpamGibbs:
         reads = sim.simulate_level_reads(3, noise, 10 ** 4, seed=74)
         counts = np.asarray(reads.counts, dtype=float)
         counts[2] = (counts[2].sum(), 0.0)
-        data = sim.CountsDataset("dark", reads.labels, reads.shots, counts, seed=0)
+        data = sim.CountsDataset(reads.labels, reads.shots, counts)
         report = recon.estimate_spam_gibbs(data, np.array([0.0, 4.0, 6.0]))
         assert report.converged and np.isfinite(report.log_likelihood)
         assert 0.0 <= report.estimate["b0"] <= 0.5
@@ -827,9 +855,9 @@ class TestSpamGibbs:
         assert report.log_likelihood >= oracle - 1e-9
 
     def test_rejects_empty_data(self):
-        zero = sim.CountsDataset("z", ("read0", "read1", "read2"),
+        zero = sim.CountsDataset(("read0", "read1", "read2"),
                                  np.zeros(3, dtype=int),
-                                 np.zeros((3, 2), dtype=int), seed=0)
+                                 np.zeros((3, 2), dtype=int))
         with pytest.raises(ValueError):
             recon.estimate_spam_gibbs(zero, np.array([0.0, 4.0, 6.0]))
 

@@ -225,8 +225,7 @@ class TestRunProtocol:
 
     def test_dataset_rejects_inconsistent_counts(self):
         with pytest.raises(ValueError):
-            sim.CountsDataset("x", ("a",), np.array([10]),
-                              np.array([[4, 5]]), seed=0)
+            sim.CountsDataset(("a",), np.array([10]), np.array([[4, 5]]))
 
 
 class TestLevelReads:
