@@ -21,12 +21,10 @@ from .circuits import GateSequence, TwoLevelGate, euler_decompose, gate_unitary,
 from .readout import (
     DiagonalSpamModel,
     cascade_povm,
-    diagonal_povm,
-    diagonal_state,
+    cascade_response,
     gauge_transform,
     gibbs_cascade_model,
     gibbs_populations,
-    ideal_readout_povm,
     ideal_spam_model,
     level_readout_operator,
     povm_diagonals,

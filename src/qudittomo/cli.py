@@ -30,17 +30,15 @@ CSV_HEADER = "experiment,label,dim,N,trial,infidelity"
 SUMMARY_HEADER = "label,N,q25,median,q75"
 
 _COMMAND_EXPERIMENTS = {
-    "qst-compare": ("qst_compare",),
-    "qpt-models": ("qpt_models",),
-    "spam-fit": ("spam_fit", "spam_general", "spam_gibbs"),
-    "completeness": ("completeness",),
+    "qst-compare": "qst_compare",
+    "qpt-models": "qpt_models",
+    "spam-fit": "spam_fit",
+    "completeness": "completeness",
 }
 _DEFAULT_OUT = {
     "qst_compare": "qst_compare.csv",
     "qpt_models": "qpt_models.csv",
     "spam_fit": "spam_fit.json",
-    "spam_general": "spam_fit.json",
-    "spam_gibbs": "spam_fit.json",
     "completeness": "",
 }
 
@@ -72,7 +70,7 @@ class ExperimentConfig:
     out: str = ""
 
     def __post_init__(self):
-        if self.experiment not in set().union(*_COMMAND_EXPERIMENTS.values()):
+        if self.experiment not in _COMMAND_EXPERIMENTS.values():
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         try:
             for name in ("dim", "trials", "calibration_shots", "seed"):
@@ -138,9 +136,8 @@ def load_config(command, args):
     unknown = sorted(set(raw) - allowed)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    choices = _COMMAND_EXPERIMENTS[command]
-    experiment = raw.get("experiment", choices[0])
-    if experiment not in choices:
+    experiment = raw.get("experiment", _COMMAND_EXPERIMENTS[command])
+    if experiment != _COMMAND_EXPERIMENTS[command]:
         raise ConfigError(f"experiment {experiment!r} does not belong to "
                           f"command {command!r}")
     raw["experiment"] = experiment
@@ -311,31 +308,25 @@ def run_spam_fits(config):
             "b1": config.b1,
         },
     }
-    if config.experiment in ("spam_fit", "spam_general"):
-        circuits = protocols.spam_calibration_circuits(dim)
-        data = sim.run_protocol(
-            circuits, None, noise, config.calibration_shots,
-            seed=qcore.derive_seed(config.seed, "spam-calibration"))
-        fit = recon.estimate_spam_general(data,
-                                          gate_depol_p=config.gate_depol_p)
-        true_probs = sim.outcome_probabilities(circuits, None, noise)
-        predicted = np.asarray(fit.diagnostics["predicted_probs"])
-        entry = fit.to_dict()
-        entry["predictive_residual"] = float(np.max(np.abs(predicted - true_probs)))
-        report["spam_general"] = entry
-    if config.experiment in ("spam_fit", "spam_gibbs"):
-        reads = sim.simulate_level_reads(
-            dim, noise, config.calibration_shots,
-            seed=qcore.derive_seed(config.seed, "spam-level-reads"))
-        fit = recon.estimate_spam_gibbs(reads, np.asarray(config.omegas))
-        rho0 = noise.initial_state(dim)
-        true_clicks = np.array([
-            float(np.real(np.trace(rho0 @ noise.level_effect(dim, j))))
-            for j in range(dim)])
-        predicted = np.asarray(fit.diagnostics["predicted_click_probs"])
-        entry = fit.to_dict()
-        entry["predictive_residual"] = float(np.max(np.abs(predicted - true_clicks)))
-        report["spam_gibbs"] = entry
+    circuits = protocols.spam_calibration_circuits(dim)
+    data = sim.run_protocol(
+        circuits, None, noise, config.calibration_shots,
+        seed=qcore.derive_seed(config.seed, "spam-calibration"))
+    fit = recon.estimate_spam_general(data, gate_depol_p=config.gate_depol_p)
+    true_probs = sim.outcome_probabilities(circuits, None, noise)
+    predicted = np.asarray(fit.diagnostics["predicted_probs"])
+    report["spam_general"] = fit.to_dict()
+    report["spam_general"]["predictive_residual"] = float(
+        np.max(np.abs(predicted - true_probs)))
+
+    reads = sim.simulate_level_reads(
+        dim, noise, config.calibration_shots,
+        seed=qcore.derive_seed(config.seed, "spam-level-reads"))
+    fit = recon.estimate_spam_gibbs(reads, np.asarray(config.omegas))
+    predicted = np.asarray(fit.diagnostics["predicted_click_probs"])
+    report["spam_gibbs"] = fit.to_dict()
+    report["spam_gibbs"]["predictive_residual"] = float(
+        np.max(np.abs(predicted - noise.level_clicks(dim))))
     return report
 
 
@@ -474,15 +465,11 @@ def main(argv=None):
             if out.parent != Path("."):
                 out.parent.mkdir(parents=True, exist_ok=True)
             out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-            general = report.get("spam_general")
-            if general:
-                print(f"general fit residual vs truth: "
-                      f"{general['predictive_residual']:.3e}")
-            gibbs = report.get("spam_gibbs")
-            if gibbs:
-                est = gibbs["estimate"]
-                print(f"gibbs fit: T={est['temperature']:.4f} "
-                      f"b0={est['b0']:.5f} b1={est['b1']:.5f}")
+            print(f"general fit residual vs truth: "
+                  f"{report['spam_general']['predictive_residual']:.3e}")
+            est = report["spam_gibbs"]["estimate"]
+            print(f"gibbs fit: T={est['temperature']:.4f} "
+                  f"b0={est['b0']:.5f} b1={est['b1']:.5f}")
             print(f"wrote report to {out}")
         else:
             report = run_completeness(config)

@@ -8,6 +8,10 @@ false-positive rate b1 (an empty level clicks).
 
 Preparation errors are modeled by a diagonal initial state; thermal
 initialization assigns Boltzmann weights exp(-omega_j / T) to the levels.
+`DiagonalSpamModel` (populations a and column-stochastic response B) is
+the one representation of preparation and readout: the simulated truth,
+the calibration fits and the forward model all use it, and the cascade
+enters it only through `cascade_response`.
 Diagonal preparation and readout errors together form a d^2 - 1 parameter
 model.  Its d calibration circuits determine only d(d - 1) frequencies, so
 the model is identifiable from calibration data only up to a flat set of
@@ -20,16 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-
-
-def ideal_readout_povm(dim):
-    """Projective computational-basis readout."""
-    if dim < 2:
-        raise ValueError(f"dimension must be at least 2, got {dim}")
-    ops = np.zeros((dim, dim, dim), dtype=complex)
-    for k in range(dim):
-        ops[k, k, k] = 1.0
-    return ops
 
 
 def level_readout_operator(dim, level, b0, b1):
@@ -98,24 +92,6 @@ def gibbs_populations(temperature, omegas):
     return w / w.sum()
 
 
-def diagonal_state(populations):
-    """Diagonal density matrix with the given level populations."""
-    a = np.asarray(populations, dtype=float)
-    if a.min() < -1e-12 or abs(a.sum() - 1.0) > 1e-10:
-        raise ValueError("populations must be nonnegative and sum to 1")
-    return np.diag(np.clip(a, 0.0, None)).astype(complex)
-
-
-def diagonal_povm(b):
-    """Stack the rows of a column-stochastic response matrix as diagonal effects."""
-    b = np.asarray(b, dtype=float)
-    ops = np.zeros((b.shape[0], b.shape[1], b.shape[1]), dtype=complex)
-    for k in range(b.shape[0]):
-        np.fill_diagonal(ops[k], b[k])
-    qcore.check_povm(ops)
-    return ops
-
-
 def povm_diagonals(ops):
     """Response matrix b[k, j] = <j| P_k |j> of a diagonal POVM."""
     ops = np.asarray(ops)
@@ -128,12 +104,22 @@ def povm_diagonals(ops):
     return b
 
 
+def cascade_response(dim, b0, b1):
+    """Response matrix of the cascade readout with level-read rates b0, b1."""
+    effects = np.stack([level_readout_operator(dim, j, b0, b1)
+                        for j in range(1, dim)])
+    return povm_diagonals(cascade_povm(effects))
+
+
 @dataclass(frozen=True)
 class DiagonalSpamModel:
     """Diagonal preparation-and-readout error model.
 
     `populations` holds the initial level populations a_j;
     `response` is the column-stochastic matrix b[k, j] = P(outcome k | level j).
+    The constructor's checks (entries >= -1e-12, column sums within 1e-10
+    of 1) lie inside the tolerances of `qcore.check_povm`, so `povm`
+    builds its diagonal effects without re-checking them.
     """
 
     populations: np.ndarray
@@ -157,10 +143,14 @@ class DiagonalSpamModel:
         return self.populations.size
 
     def initial_state(self):
-        return diagonal_state(self.populations)
+        return np.diag(np.clip(self.populations, 0.0, None)).astype(complex)
 
     def povm(self):
-        return diagonal_povm(self.response)
+        """Effects P_k = diag(b[k]), one per outcome."""
+        n = self.dim
+        ops = np.zeros((n, n, n), dtype=complex)
+        ops[:, np.arange(n), np.arange(n)] = self.response
+        return ops
 
     def to_dict(self):
         return {"populations": self.populations.tolist(),
@@ -184,10 +174,8 @@ def gibbs_cascade_model(dim, temperature, omegas, b0, b1):
     omegas = np.asarray(omegas, dtype=float)
     if omegas.size != dim:
         raise ValueError(f"need {dim} level energies, got {omegas.size}")
-    a = gibbs_populations(temperature, omegas)
-    effects = np.stack([level_readout_operator(dim, j, b0, b1)
-                        for j in range(1, dim)])
-    return DiagonalSpamModel(a, povm_diagonals(cascade_povm(effects)))
+    return DiagonalSpamModel(gibbs_populations(temperature, omegas),
+                             cascade_response(dim, b0, b1))
 
 
 def gauge_transform(model, p):

@@ -167,7 +167,9 @@ def build_measurement_model(protocol, spam=None, gate_depol_p=0.0):
             for g in circuit.prep.gates:
                 u = gate_unitary(g, dim)
                 rho_i = qcore.depolarize(u @ rho_i @ qcore.dagger(u), gate_depol_p)
-            ops[c] = np.stack([np.kron(rho_i.T, e) for e in effects])
+            # kron(rho_i^T, E_k) for every outcome k in one broadcast product
+            ops[c] = (rho_i.T[None, :, None, :, None]
+                      * effects[:, None, :, None, :]).reshape(n_out, dd, dd)
     labels = tuple(c.label for c in protocol.circuits)
     return MeasurementModel(protocol.kind, dim, labels, ops)
 

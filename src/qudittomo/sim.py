@@ -1,15 +1,18 @@
 """Noisy measurement simulation for tomography circuits.
 
 Every two-level gate is followed by a depolarizing channel of strength
-`gate_depol_p`; preparation and readout errors come from the configured
-initial state and readout POVM.  Outcome probabilities come from the
-reconstruction's own forward model, `recon.build_measurement_model` at
-the configured gate noise, so the simulator and the fits share one model
-of a circuit.  `circuit_probabilities` keeps an independent
-Schrodinger-picture computation as a reference for tests.  Protocols run
-with an equal shot split: floor(total / n) shots per circuit, one extra
-for the first total mod n circuits.  All sampling is reproducible from a
-64-bit root seed.
+`gate_depol_p`.  Preparation and readout errors come from
+`NoiseConfig.spam_model`, which maps the configured initialization and
+readout straight to a `readout.DiagonalSpamModel` (populations and
+response matrix); single-level reads come from `NoiseConfig.level_clicks`.
+Outcome probabilities come from the reconstruction's own forward model,
+`recon.build_measurement_model` at the configured gate noise, so the
+simulator and the fits share one model of a circuit.
+`circuit_probabilities` keeps an independent Schrodinger-picture
+computation as a reference for tests.  Protocols run with an equal shot
+split: floor(total / n) shots per circuit, one extra for the first
+total mod n circuits.  All sampling is reproducible from a 64-bit root
+seed.
 """
 
 from dataclasses import dataclass
@@ -68,30 +71,38 @@ class NoiseConfig:
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {val}")
+        if self.init is not None and not isinstance(self.init, GibbsInit):
+            # explicit populations must form the initial state of a SPAM model
+            readout.DiagonalSpamModel(self.init, np.eye(np.size(self.init)))
 
-    def initial_state(self, dim):
+    def _populations(self, dim):
         if self.init is None:
-            return qcore.projector(qcore.ket(0, dim))
+            a = np.zeros(dim)
+            a[0] = 1.0
+            return a
         if isinstance(self.init, GibbsInit):
             omegas = np.asarray(self.init.omegas)
             if omegas.size != dim:
                 raise ValueError(f"need {dim} level energies, got {omegas.size}")
-            return readout.diagonal_state(
-                readout.gibbs_populations(self.init.temperature, omegas))
-        return readout.diagonal_state(np.asarray(self.init, dtype=float))
+            return readout.gibbs_populations(self.init.temperature, omegas)
+        return np.asarray(self.init, dtype=float)
 
-    def readout_povm(self, dim):
+    def spam_model(self, dim):
+        """The configured preparation and readout as a DiagonalSpamModel."""
         if self.readout is None:
-            return readout.ideal_readout_povm(dim)
-        if isinstance(self.readout, LevelReadoutError):
-            effects = np.stack([
-                readout.level_readout_operator(dim, j, self.readout.b0, self.readout.b1)
-                for j in range(1, dim)])
-            return readout.cascade_povm(effects)
-        return readout.diagonal_povm(np.asarray(self.readout, dtype=float))
+            response = np.eye(dim)
+        elif isinstance(self.readout, LevelReadoutError):
+            response = readout.cascade_response(dim, self.readout.b0, self.readout.b1)
+        else:
+            response = np.asarray(self.readout, dtype=float)
+        return readout.DiagonalSpamModel(self._populations(dim), response)
 
-    def level_effect(self, dim, level):
-        """Effect of reading a single level in isolation."""
+    def level_clicks(self, dim):
+        """Click probability of each level read alone on the initial state.
+
+        Level j clicks with probability (1 - b0) a_j + b1 sum_{m != j} a_m,
+        i.e. R @ a with R[j, m] = 1 - b0 if j = m else b1.
+        """
         if self.readout is None:
             b0 = b1 = 0.0
         elif isinstance(self.readout, LevelReadoutError):
@@ -99,12 +110,9 @@ class NoiseConfig:
         else:
             raise ValueError(
                 "single-level reads are undefined for an explicit response matrix")
-        return readout.level_readout_operator(dim, level, b0, b1)
-
-    def spam_model(self, dim):
-        """The configured preparation and readout as a DiagonalSpamModel."""
-        a = np.diagonal(self.initial_state(dim)).real
-        return readout.DiagonalSpamModel(a, readout.povm_diagonals(self.readout_povm(dim)))
+        r = np.full((dim, dim), b1)
+        np.fill_diagonal(r, 1.0 - b0)
+        return r @ self._populations(dim)
 
 
 def noisy_prep_state(circuit, noise):
@@ -113,7 +121,7 @@ def noisy_prep_state(circuit, noise):
     Reference oracle for tests, like `circuit_probabilities`.
     """
     dim = circuit.dim
-    rho = noise.initial_state(dim)
+    rho = noise.spam_model(dim).initial_state()
     for g in circuit.prep.gates:
         u = gate_unitary(g, dim)
         rho = u @ rho @ qcore.dagger(u)
@@ -158,7 +166,7 @@ def circuit_probabilities(circuit, truth, noise, check=True):
         rho = u @ rho @ qcore.dagger(u)
         if noise.gate_depol_p:
             rho = qcore.depolarize(rho, noise.gate_depol_p)
-    probs = np.real(np.einsum("kij,ji->k", noise.readout_povm(dim), rho))
+    probs = np.real(np.einsum("kij,ji->k", noise.spam_model(dim).povm(), rho))
     if probs.min() < -1e-12:
         raise ValueError(f"probability {probs.min()} below -1e-12; invalid inputs")
     probs = np.clip(probs, 0.0, None)
@@ -285,14 +293,12 @@ def simulate_level_reads(dim, noise, total_shots, seed):
     Circuit j interrogates level j alone; outcome 1 is a click.  Used to
     calibrate the thermal-initialization readout model.
     """
-    rho0 = noise.initial_state(dim)
+    p_clicks = np.clip(noise.level_clicks(dim), 0.0, 1.0)
     shots = allocate_shots(total_shots, dim)
     rng = qcore.make_rng(seed, "level-reads")
     counts = np.zeros((dim, 2), dtype=np.int64)
     for j in range(dim):
-        effect = noise.level_effect(dim, j)
-        p_click = float(np.clip(np.real(np.trace(rho0 @ effect)), 0.0, 1.0))
-        clicks = rng.binomial(shots[j], p_click)
+        clicks = rng.binomial(shots[j], p_clicks[j])
         counts[j] = (shots[j] - clicks, clicks)
     labels = tuple(f"read{j}" for j in range(dim))
     return CountsDataset(labels, shots, counts)

@@ -123,17 +123,6 @@ def test_spam_fit_report_and_determinism(tmp_path):
     assert out.read_bytes() == first
 
 
-def test_spam_fit_single_model_config(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"experiment": "spam_gibbs",
-                               "calibration_shots": 200_000}))
-    out = tmp_path / "gibbs.json"
-    assert run_main(["spam-fit", "--config", str(cfg), "--seed", "11",
-                     "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert "spam_gibbs" in report and "spam_general" not in report
-
-
 def test_completeness_report_qutrit(tmp_path, capsys):
     out = tmp_path / "comp.json"
     assert run_main(["completeness", "--dim", "3", "--out", str(out)]) == 0
@@ -184,9 +173,11 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
 
 def test_experiment_command_mismatch_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"experiment": "qpt_models"}))
-    assert run_main(["qst-compare", "--config", str(cfg)]) == 2
-    assert "does not belong" in capsys.readouterr().err
+    for command, experiment in (("qst-compare", "qpt_models"),
+                                ("spam-fit", "spam_gibbs")):
+        cfg.write_text(json.dumps({"experiment": experiment}))
+        assert run_main([command, "--config", str(cfg)]) == 2
+        assert "does not belong" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

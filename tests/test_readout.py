@@ -41,7 +41,8 @@ class TestCascadePovm:
         effects = np.stack([readout.level_readout_operator(3, j, 0.0, 0.0)
                             for j in (1, 2)])
         ops = readout.cascade_povm(effects)
-        assert np.array_equal(ops, readout.ideal_readout_povm(3))
+        assert np.array_equal(
+            ops, np.stack([qcore.projector(qcore.ket(k, 3)) for k in range(3)]))
 
     def test_qutrit_noisy_diagonals(self):
         # hand expansion of P_1 = E_1, P_2 = E_2 (I - E_1),
@@ -123,21 +124,24 @@ class TestGibbsPopulations:
 
 class TestDiagonalModels:
     def test_pure_population_state(self):
-        rho = readout.diagonal_state(np.array([1.0, 0.0, 0.0]))
+        rho = readout.DiagonalSpamModel(np.array([1.0, 0.0, 0.0]),
+                                        np.eye(3)).initial_state()
         assert np.array_equal(rho, qcore.projector(qcore.ket(0, 3)))
 
     def test_identity_response_is_projective(self):
-        ops = readout.diagonal_povm(np.eye(3))
-        assert np.array_equal(ops, readout.ideal_readout_povm(3))
+        ops = readout.DiagonalSpamModel(np.array([1.0, 0.0, 0.0]), np.eye(3)).povm()
+        assert np.array_equal(
+            ops, np.stack([qcore.projector(qcore.ket(k, 3)) for k in range(3)]))
 
     def test_povm_diagonals_inverts_diagonal_povm(self):
         rng = qcore.make_rng(302, "diag-roundtrip")
         b = rng.uniform(0.05, 1.0, size=(4, 4))
         b /= b.sum(axis=0, keepdims=True)
-        assert np.max(np.abs(readout.povm_diagonals(readout.diagonal_povm(b)) - b)) < 1e-14
+        ops = readout.DiagonalSpamModel(np.full(4, 0.25), b).povm()
+        assert np.max(np.abs(readout.povm_diagonals(ops) - b)) < 1e-14
 
     def test_povm_diagonals_rejects_off_diagonal_elements(self):
-        ops = readout.ideal_readout_povm(2).copy()
+        ops = readout.ideal_spam_model(2).povm()
         ops[0, 0, 1] = 0.1
         ops[0, 1, 0] = 0.1
         with pytest.raises(ValueError):
@@ -151,6 +155,24 @@ class TestDiagonalModels:
         model = readout.DiagonalSpamModel(a, b)
         qcore.check_povm(model.povm())
         qcore.check_density_matrix(model.initial_state())
+
+    def test_every_accepted_model_gives_a_valid_povm(self):
+        # `povm` skips check_povm; the constructor's bounds must imply it,
+        # right up to entries of -1e-12 and column sums off by 0.9e-10
+        for trial in range(200):
+            rng = qcore.make_rng(304, "spam-model-fuzz", trial)
+            dim = int(rng.integers(2, 7))
+            b = rng.dirichlet(np.ones(dim), size=dim).T
+            for j in range(dim):
+                top = int(np.argmax(b[:, j]))
+                low = int(rng.choice([k for k in range(dim) if k != top]))
+                b[top, j] += b[low, j] + 1e-12
+                b[low, j] = -1e-12
+                b[top, j] += rng.choice([-0.9e-10, 0.9e-10])
+            model = readout.DiagonalSpamModel(rng.dirichlet(np.ones(dim)), b)
+            ops = model.povm()
+            qcore.check_povm(ops)
+            assert np.array_equal(readout.povm_diagonals(ops), b)
 
     def test_model_rejects_broken_simplexes(self):
         with pytest.raises(ValueError):

@@ -116,7 +116,7 @@ class TestCircuitProbabilities:
                 u = gate_unitary(g, dim)
                 rho = qcore.depolarize(rho, p_gate)
                 rho = u @ rho @ qcore.dagger(u)
-            want = np.real(np.einsum("kij,ji->k", readout.ideal_readout_povm(dim), rho))
+            want = np.real(np.einsum("kij,ji->k", readout.ideal_spam_model(dim).povm(), rho))
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_probabilities_sum_to_one_under_fuzzed_noise(self):
@@ -228,15 +228,44 @@ class TestRunProtocol:
             sim.CountsDataset(("a",), np.array([10]), np.array([[4, 5]]))
 
 
+class TestSpamModel:
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_truth_is_the_gibbs_cascade_model(self, dim):
+        omegas = tuple(2.0 * np.arange(dim))
+        noise = sim.NoiseConfig(init=sim.GibbsInit(1.3, omegas),
+                                readout=sim.LevelReadoutError(0.01, 0.02))
+        got = noise.spam_model(dim)
+        want = readout.gibbs_cascade_model(dim, 1.3, np.asarray(omegas), 0.01, 0.02)
+        assert np.array_equal(got.populations, want.populations)
+        assert np.array_equal(got.response, want.response)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_level_clicks_match_the_gibbs_read_model(self, dim):
+        omegas = tuple(2.0 * np.arange(dim))
+        b0, b1 = 0.01, 0.02
+        noise = sim.NoiseConfig(init=sim.GibbsInit(1.3, omegas),
+                                readout=sim.LevelReadoutError(b0, b1))
+        a = readout.gibbs_populations(1.3, np.asarray(omegas))
+        want = (1.0 - b0) * a + b1 * (1.0 - a)
+        assert np.max(np.abs(noise.level_clicks(dim) - want)) <= 1e-15
+
+    def test_rejects_invalid_explicit_populations(self):
+        with pytest.raises(ValueError):
+            sim.NoiseConfig(init=np.array([0.7, 0.4]))
+        with pytest.raises(ValueError):
+            sim.NoiseConfig(init=np.array([1.1, -0.1]))
+
+
 class TestLevelReads:
     def test_click_statistics_match_the_effect(self):
         noise = sim.NoiseConfig(init=sim.GibbsInit(1.0, (0.0, 4.0, 6.0)),
                                 readout=sim.LevelReadoutError(0.01, 0.02))
         data = sim.simulate_level_reads(3, noise, 3 * 10 ** 6, seed=11)
         assert data.counts.shape == (3, 2)
-        rho0 = noise.initial_state(3)
+        rho0 = noise.spam_model(3).initial_state()
         for j in range(3):
-            want = float(np.real(np.trace(rho0 @ noise.level_effect(3, j))))
+            effect = readout.level_readout_operator(3, j, 0.01, 0.02)
+            want = float(np.real(np.trace(rho0 @ effect)))
             got = data.counts[j, 1] / data.shots[j]
             assert abs(got - want) < 5 * np.sqrt(want * (1 - want) / data.shots[j])
 
