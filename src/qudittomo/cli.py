@@ -48,7 +48,7 @@ class ConfigError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A fit exhausted its iteration budget without converging."""
+    """A fit stopped without converging."""
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,7 @@ def _qst_point(dim, n_shots, trial, seed, noise):
         # the same as after a full run.
         pure = recon.mle_state_pure(data, model)
         full = recon.mle_state(data, model, pure=pure)
-        report = recon.select_rank(full, pure, dim)
+        report = recon.select_rank(full, pure)
         if not report.converged:
             raise NumericalError(
                 f"state fit did not converge ({report.diagnostics['stop_reason']}, "
@@ -381,12 +381,19 @@ def _config_lines(config):
             f"# seed: {config.seed}"]
 
 
+def _write_text(path, text):
+    """Write `text` to `path`, making its parent directory first."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
 def write_rows(path, config, rows):
     lines = _config_lines(config) + [CSV_HEADER]
     for experiment, label, dim, n_shots, trial, infid in rows:
         lines.append(f"{experiment},{label},{dim},{n_shots},{trial},"
                      f"{float(infid)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def summarize(rows):
@@ -405,7 +412,7 @@ def write_summary(path, config, rows):
     lines = _config_lines(config) + [SUMMARY_HEADER]
     for label, n_shots, q25, med, q75 in summarize(rows):
         lines.append(f"{label},{n_shots},{q25!r},{med!r},{q75!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def summary_path(out):
@@ -415,8 +422,6 @@ def summary_path(out):
 
 def _write_csv_outputs(config, rows):
     out = Path(config.out)
-    if out.parent != Path("."):
-        out.parent.mkdir(parents=True, exist_ok=True)
     write_rows(out, config, rows)
     side = summary_path(out)
     write_summary(side, config, rows)
@@ -462,9 +467,7 @@ def main(argv=None):
         elif args.command == "spam-fit":
             report = run_spam_fits(config)
             out = Path(config.out)
-            if out.parent != Path("."):
-                out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+            _write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
             print(f"general fit residual vs truth: "
                   f"{report['spam_general']['predictive_residual']:.3e}")
             est = report["spam_gibbs"]["estimate"]
@@ -476,10 +479,7 @@ def main(argv=None):
             text = json.dumps(report, indent=2, sort_keys=True)
             print(text)
             if config.out:
-                out = Path(config.out)
-                if out.parent != Path("."):
-                    out.parent.mkdir(parents=True, exist_ok=True)
-                out.write_text(text + "\n")
+                _write_text(config.out, text + "\n")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -5,10 +5,14 @@ operators computed from assumed preparation and readout (ideal by
 default, or any DiagonalSpamModel), built gate by gate on the code path
 that also gives the simulator its model; the fits and the completeness
 check use it only as a real design matrix A, through A x and A^T w.
-States are fitted by a diluted fixed-point iteration, processes by
-projected gradient ascent on the Choi matrix, and SPAM calibration
-parameters by structured solves: a closed form for the general diagonal
-model and a profile likelihood for the thermal one.  The process fit's
+Both state fits, the full-rank one and its rank-1 restriction, run one
+diluted fixed-point ascent ("Diluted maximum-likelihood algorithm for
+quantum tomography", Rehacek, Hradil, Knill & Lvovsky 2007).  Processes
+are fitted by projected gradient ascent on the Choi matrix, and SPAM
+calibration parameters by structured solves: a closed form for the
+general diagonal model and a profile likelihood for the thermal one.
+The three likelihood fits share one input check and one report
+builder.  The process fit's
 projection is the exact Euclidean projection onto the CPTP set, computed
 by a Newton solve for a d x d Lagrange multiplier of the
 trace-preservation constraint.
@@ -24,6 +28,7 @@ tr B.  The thermally constrained fit has no flat direction, which is
 what makes it useful.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,7 +179,10 @@ def build_measurement_model(protocol, spam=None, gate_depol_p=0.0):
     return MeasurementModel(protocol.kind, dim, labels, ops)
 
 
-def _check_alignment(data, model):
+def _fit_counts(data, model, kind):
+    """Flat float counts of `data`, checked against a `kind` model."""
+    if model.kind != kind:
+        raise ValueError(f"expected a {kind!r} model, got {model.kind!r}")
     if tuple(data.labels) != tuple(model.labels):
         raise ValueError("dataset circuits do not match the model circuits")
     if data.counts.shape != (model.n_circuits, model.n_outcomes):
@@ -183,6 +191,7 @@ def _check_alignment(data, model):
             f"({model.n_circuits}, {model.n_outcomes})")
     if data.counts.sum() <= 0:
         raise ValueError("dataset contains no counts")
+    return np.asarray(data.counts, dtype=float).ravel()
 
 
 def _floored_probs(model, x):
@@ -203,16 +212,74 @@ def _residual(probs, data):
     return float(np.max(np.abs(probs[mask] - freq[mask])))
 
 
+def _fit_report(estimate, ll, iterations, converged, data, model, diagnostics):
+    """FitReport of a likelihood fit, with the residual of its estimate."""
+    return FitReport(
+        estimate=estimate,
+        log_likelihood=ll,
+        iterations=iterations,
+        converged=converged,
+        max_residual=_residual(model.probabilities(estimate), data),
+        diagnostics=diagnostics,
+    )
+
+
+def _diluted_ascent(model, counts, x, probs_of, candidate, mix, tol, max_iter,
+                    early_stop=None):
+    """Diluted fixed-point ascent of the log-likelihood sum_n c_n log p_n.
+
+    Each iteration forms R = sum_n (c_n / p_n) A_n at the iterate x, the
+    fixed-point image `candidate(R, x)`, and the step `mix(step, cand, x)`
+    from step = 1 - DILUTION, halved while it would lower the likelihood,
+    so the trace is non-decreasing.  Stops with "tol" when the gain drops
+    below `tol` per shot, "stalled" when no halved step ascends,
+    "pure_kept" when `early_stop(iteration, R, x, p, ll)` is true, or
+    "max_iter".  Returns (x, p, ll, trace, iterations, stop_reason).
+    """
+    min_gain = tol * max(counts.sum(), 1.0)
+    p = probs_of(x)
+    ll = float(counts @ np.log(p))
+    trace = [ll]
+    stop_reason = "max_iter"
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        r = _hermitian_sum(model, counts / p)
+        if early_stop is not None and early_stop(iterations, r, x, p, ll):
+            stop_reason = "pure_kept"
+            break
+        cand = candidate(r, x)
+        step = 1.0 - DILUTION
+        x_new = mix(step, cand, x)
+        p_new = probs_of(x_new)
+        ll_new = float(counts @ np.log(p_new))
+        while ll_new < ll and step > 1e-8:
+            step /= 2.0
+            x_new = mix(step, cand, x)
+            p_new = probs_of(x_new)
+            ll_new = float(counts @ np.log(p_new))
+        if ll_new < ll:
+            stop_reason = "stalled"
+            break
+        gain = ll_new - ll
+        x, p, ll = x_new, p_new, ll_new
+        trace.append(ll)
+        if gain < min_gain:
+            stop_reason = "tol"
+            break
+    return x, p, ll, trace, iterations, stop_reason
+
+
 def mle_state(data, model, tol=1e-10, max_iter=10000, pure=None):
     """Maximum-likelihood state estimate by the diluted R rho R iteration.
 
     Iterates rho <- (1 - DILUTION) * N[R rho R] + DILUTION * rho with
-    R = sum_ik (n_ik / p_ik) B_ik, which keeps the iterate a valid state.
-    If a step would lower the log-likelihood the update is pulled toward
-    the current iterate until it does not, so the likelihood trace is
-    non-decreasing.  Stops with `stop_reason` "tol" when the gain drops
-    below `tol` per shot, "stalled" when no pulled-back step ascends, or
-    "max_iter"; only "tol" counts as converged.
+    R = sum_ik (n_ik / p_ik) B_ik, which keeps the iterate a valid state
+    (Rehacek, Hradil, Knill & Lvovsky 2007).  If a step would lower the
+    log-likelihood the update is pulled toward the current iterate until
+    it does not, so the likelihood trace is non-decreasing.  Stops with
+    `stop_reason` "tol" when the gain drops below `tol` per shot,
+    "stalled" when no pulled-back step ascends, or "max_iter"; only "tol"
+    counts as converged.
 
     By concavity every iterate bounds the maximum log-likelihood:
     ll* <= ll + lambda_max(R) - Tr(R rho), valid when no probability is
@@ -221,147 +288,80 @@ def mle_state(data, model, tol=1e-10, max_iter=10000, pure=None):
 
     Early rank decision: given `pure`, the `mle_state_pure` report of the
     same data, the fit stops ("pure_kept", not converged) as soon as the
-    bound proves that `select_rank(full, pure, dim)` keeps `pure`,
-    checked every 4th iteration.  The check does not change the
-    iterates, so a fit that is not stopped early returns the same bytes
-    as without `pure`, and `select_rank` returns the same pure report as
-    after a full run.
+    bound proves that `select_rank(full, pure)` keeps `pure`, checked
+    every 4th iteration.  The check does not change the iterates, so a
+    fit that is not stopped early returns the same bytes as without
+    `pure`, and `select_rank` returns the same pure report as after a
+    full run.
     """
-    if model.kind != "qst":
-        raise ValueError(f"mle_state needs a 'qst' model, got {model.kind!r}")
-    _check_alignment(data, model)
-    dim = model.dim
-    counts = np.asarray(data.counts, dtype=float).ravel()
-    n_total = counts.sum()
+    counts = _fit_counts(data, model, "qst")
+    early_stop = None
+    if pure is not None:
+        threshold = _rank_threshold(model.dim)
 
-    threshold = None if pure is None else _rank_threshold(dim)
-    full_step = 1.0 - DILUTION
-    min_gain = tol * max(n_total, 1.0)
-    rho = np.eye(dim, dtype=complex) / dim
-    p = _floored_probs(model, rho)
-    ll = float(counts @ np.log(p))
-    trace = [ll]
-    stop_reason = "max_iter"
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        r = _hermitian_sum(model, counts / p)
-        r_rho = r @ rho
-        if threshold is not None and iterations % 4 == 1:
+        def early_stop(iteration, r, rho, p, ll):
+            nonlocal threshold
+            if threshold is None or iteration % 4 != 1:
+                return False
             if not _keeps_pure(ll, pure.log_likelihood, threshold):
                 # ll never falls, so from here on no bound can pass
                 threshold = None
-            elif p.min() > PROB_FLOOR:
-                gap = _gap_bound(r, r_rho)
-                if _keeps_pure(ll + gap, pure.log_likelihood, threshold):
-                    stop_reason = "pure_kept"
-                    break
-        cand = r_rho @ r
+                return False
+            return (p.min() > PROB_FLOOR
+                    and _keeps_pure(ll + _gap_bound(r, rho), pure.log_likelihood,
+                                    threshold))
+
+    def candidate(r, rho):
+        cand = r @ rho @ r
         cand = cand / cand.trace().real
-        cand = (cand + cand.conj().T) / 2
-        step = full_step
-        rho_new = step * cand + (1.0 - step) * rho
-        p_new = _floored_probs(model, rho_new)
-        ll_new = float(counts @ np.log(p_new))
-        while ll_new < ll and step > 1e-8:
-            step /= 2.0
-            rho_new = step * cand + (1.0 - step) * rho
-            p_new = _floored_probs(model, rho_new)
-            ll_new = float(counts @ np.log(p_new))
-        if ll_new < ll:
-            stop_reason = "stalled"
-            break
-        gain = ll_new - ll
-        rho, p, ll = rho_new, p_new, ll_new
-        trace.append(ll)
-        if gain < min_gain:
-            stop_reason = "tol"
-            break
-    if stop_reason != "pure_kept":
-        r = _hermitian_sum(model, counts / p)
-        gap = _gap_bound(r, r @ rho) if p.min() > PROB_FLOOR else None
-    probs = model.probabilities(rho)
-    return FitReport(
-        estimate=rho,
-        log_likelihood=ll,
-        iterations=iterations,
-        converged=stop_reason == "tol",
-        max_residual=_residual(probs, data),
-        diagnostics={"loglik_trace": np.asarray(trace),
-                     "stop_reason": stop_reason, "gap_bound": gap},
-    )
+        return (cand + cand.conj().T) / 2
+
+    rho, p, ll, trace, iterations, stop_reason = _diluted_ascent(
+        model, counts, np.eye(model.dim, dtype=complex) / model.dim,
+        functools.partial(_floored_probs, model), candidate,
+        lambda step, cand, rho: step * cand + (1.0 - step) * rho,
+        tol, max_iter, early_stop)
+    gap = None
+    if p.min() > PROB_FLOOR:
+        gap = _gap_bound(_hermitian_sum(model, counts / p), rho)
+    return _fit_report(rho, ll, iterations, stop_reason == "tol", data, model,
+                       {"loglik_trace": np.asarray(trace),
+                        "stop_reason": stop_reason, "gap_bound": gap})
 
 
-def _gap_bound(r, r_rho):
+def _gap_bound(r, rho):
     """lambda_max(R) - Tr(R rho), floored at 0: a bound on ll* - ll at rho."""
-    return max(float(np.linalg.eigvalsh(r)[-1]) - r_rho.trace().real, 0.0)
+    return max(float(np.linalg.eigvalsh(r)[-1]) - (r @ rho).trace().real, 0.0)
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
 
 
 def mle_state_pure(data, model, tol=1e-10, max_iter=10000):
     """Rank-1 restriction of `mle_state`: the estimate is a pure state.
 
     Iterates psi <- normalize((1 - DILUTION) * normalize(R psi)
-    + DILUTION * psi), the vector form of the diluted fixed point, with
-    the same pull-back safeguard, stopping rule and `stop_reason` as
-    `mle_state`.  The start vector is the dominant eigenvector of R at
-    the maximally mixed state; a poor local maximum only lowers this
-    fit's likelihood, which `select_rank` treats as a vote for the
+    + DILUTION * psi), the vector form of the diluted fixed point, on the
+    same ascent as `mle_state`, with its pull-back safeguard, stopping
+    rule and `stop_reason`.  The start vector is the dominant eigenvector
+    of R at the maximally mixed state; a poor local maximum only lowers
+    this fit's likelihood, which `select_rank` treats as a vote for the
     full-rank fit.
     """
-    if model.kind != "qst":
-        raise ValueError(f"mle_state_pure needs a 'qst' model, got {model.kind!r}")
-    _check_alignment(data, model)
-    dim = model.dim
-    counts = np.asarray(data.counts, dtype=float).ravel()
-    n_total = counts.sum()
-
-    def probs_of(v):
-        return _floored_probs(model, np.outer(v, v.conj()))
-
-    full_step = 1.0 - DILUTION
-    min_gain = tol * max(n_total, 1.0)
-    p0 = _floored_probs(model, np.eye(dim) / dim)
+    counts = _fit_counts(data, model, "qst")
+    p0 = _floored_probs(model, np.eye(model.dim) / model.dim)
     _, vecs = np.linalg.eigh(_hermitian_sum(model, counts / p0))
-    psi = vecs[:, -1]
-    p = probs_of(psi)
-    ll = float(counts @ np.log(p))
-    trace = [ll]
-    stop_reason = "max_iter"
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        r = _hermitian_sum(model, counts / p)
-        cand = r @ psi
-        cand = cand / np.linalg.norm(cand)
-        step = full_step
-        psi_new = step * cand + (1.0 - step) * psi
-        psi_new = psi_new / np.linalg.norm(psi_new)
-        p_new = probs_of(psi_new)
-        ll_new = float(counts @ np.log(p_new))
-        while ll_new < ll and step > 1e-8:
-            step /= 2.0
-            psi_new = step * cand + (1.0 - step) * psi
-            psi_new = psi_new / np.linalg.norm(psi_new)
-            p_new = probs_of(psi_new)
-            ll_new = float(counts @ np.log(p_new))
-        if ll_new < ll:
-            stop_reason = "stalled"
-            break
-        gain = ll_new - ll
-        psi, p, ll = psi_new, p_new, ll_new
-        trace.append(ll)
-        if gain < min_gain:
-            stop_reason = "tol"
-            break
-    rho = np.outer(psi, psi.conj())
-    probs = model.probabilities(rho)
-    return FitReport(
-        estimate=rho,
-        log_likelihood=ll,
-        iterations=iterations,
-        converged=stop_reason == "tol",
-        max_residual=_residual(probs, data),
-        diagnostics={"loglik_trace": np.asarray(trace), "state_vector": psi,
-                     "stop_reason": stop_reason},
-    )
+    psi, p, ll, trace, iterations, stop_reason = _diluted_ascent(
+        model, counts, vecs[:, -1],
+        lambda v: _floored_probs(model, np.outer(v, v.conj())),
+        lambda r, v: _unit(r @ v),
+        lambda step, cand, v: _unit(step * cand + (1.0 - step) * v),
+        tol, max_iter)
+    return _fit_report(np.outer(psi, psi.conj()), ll, iterations,
+                       stop_reason == "tol", data, model,
+                       {"loglik_trace": np.asarray(trace), "state_vector": psi,
+                        "stop_reason": stop_reason})
 
 
 # chi-squared thresholds of the rank test, one per dim
@@ -382,7 +382,7 @@ def _keeps_pure(ll_full, ll_pure, threshold):
     return 2.0 * (ll_full - ll_pure) <= threshold
 
 
-def select_rank(full, pure, dim):
+def select_rank(full, pure):
     """Keep the pure-state fit unless the likelihood ratio rejects it.
 
     A full-rank density matrix has d^2 - 1 free real parameters and a
@@ -396,10 +396,11 @@ def select_rank(full, pure, dim):
     `full` may come from `mle_state(..., pure=pure)`: when that fit
     stopped early ("pure_kept") its likelihood is below the certified
     bound that passed this same test, so `pure` is returned, exactly as
-    after a full run.  The threshold is computed once per dim and shared
-    with that early stop.
+    after a full run.  The dimension is that of the pure estimate, and
+    the threshold is computed once per dimension and shared with that
+    early stop.
     """
-    threshold = _rank_threshold(dim)
+    threshold = _rank_threshold(pure.estimate.shape[0])
     if _keeps_pure(full.log_likelihood, pure.log_likelihood, threshold):
         return pure
     return full
@@ -494,12 +495,9 @@ def mle_process(data, model, tol=1e-10, max_iter=10000):
     trace-preservation residual max|Tr_out J - I| (`tp_residual`) and
     smallest eigenvalue (`min_eigenvalue`).
     """
-    if model.kind != "qpt":
-        raise ValueError(f"mle_process needs a 'qpt' model, got {model.kind!r}")
-    _check_alignment(data, model)
+    counts = _fit_counts(data, model, "qpt")
     dim = model.dim
     d2 = dim ** 2
-    counts = np.asarray(data.counts, dtype=float).ravel()
     n_total = counts.sum()
 
     choi = np.eye(d2, dtype=complex) / dim
@@ -538,18 +536,11 @@ def mle_process(data, model, tol=1e-10, max_iter=10000):
         lam = (lam + qcore.dagger(lam)) / 2
         top = np.linalg.eigvalsh(g - np.kron(lam, np.eye(dim)))[-1]
         gap = max(float(lam.trace().real + dim * top - n_total), 0.0)
-    probs = model.probabilities(choi)
     tp_residual = np.abs(qcore.choi_output_trace(choi) - np.eye(dim)).max()
-    return FitReport(
-        estimate=choi,
-        log_likelihood=ll,
-        iterations=iterations,
-        converged=stop_reason != "max_iter",
-        max_residual=_residual(probs, data),
-        diagnostics={"final_step": gamma, "stop_reason": stop_reason,
-                     "gap_bound": gap, "tp_residual": float(tp_residual),
-                     "min_eigenvalue": float(np.linalg.eigvalsh(choi)[0])},
-    )
+    return _fit_report(choi, ll, iterations, stop_reason != "max_iter", data, model,
+                       {"final_step": gamma, "stop_reason": stop_reason,
+                        "gap_bound": gap, "tp_residual": float(tp_residual),
+                        "min_eigenvalue": float(np.linalg.eigvalsh(choi)[0])})
 
 
 def _stop_reason(status, max_iter_status):

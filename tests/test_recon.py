@@ -133,15 +133,29 @@ class TestMeasurementModel:
         with pytest.raises(ValueError):
             recon.build_measurement_model(bad)
 
-    def test_misaligned_dataset_is_rejected(self):
-        protocol = protocols.qst_two_level(3)
+
+class TestLikelihoodFitInputs:
+    @pytest.mark.parametrize("fit", ["mle_state", "mle_state_pure", "mle_process"])
+    def test_bad_inputs_are_rejected(self, fit):
+        # a model of the other kind, circuits out of order, and no counts
+        qst, qpt = protocols.qst_two_level(2), protocols.qpt_two_level(2)
+        protocol, other = (qpt, qst) if fit == "mle_process" else (qst, qpt)
+        truth = (qcore.choi_from_unitary(np.eye(2)) if fit == "mle_process"
+                 else np.eye(2) / 2)
+        fit = getattr(recon, fit)
         model = recon.build_measurement_model(protocol)
-        truth = np.eye(3) / 3
-        data = sim.run_protocol(protocol, truth, sim.NoiseConfig(), 7_000, seed=0)
-        shuffled = sim.CountsDataset(data.labels[::-1], data.shots,
-                                     data.counts)
-        with pytest.raises(ValueError):
-            recon.mle_state(shuffled, model)
+        data = sim.run_protocol(protocol, truth, sim.NoiseConfig(), 2_000, seed=0)
+        assert fit(data, model, max_iter=2).iterations == 2
+        with pytest.raises(ValueError, match=f"{protocol.kind!r} model"):
+            fit(data, recon.build_measurement_model(other))
+        reversed_labels = sim.CountsDataset(data.labels[::-1], data.shots,
+                                            data.counts)
+        with pytest.raises(ValueError, match="circuits do not match"):
+            fit(reversed_labels, model)
+        empty = sim.CountsDataset(data.labels, np.zeros_like(data.shots),
+                                  np.zeros_like(data.counts))
+        with pytest.raises(ValueError, match="no counts"):
+            fit(empty, model)
 
 
 class TestMleState:
@@ -174,7 +188,9 @@ class TestMleState:
             report = recon.mle_state(data, model)
             qcore.check_density_matrix(report.estimate)
 
-    def test_loglik_trace_is_monotone_on_fuzzed_datasets(self):
+    @pytest.mark.parametrize("fit", ["mle_state", "mle_state_pure"])
+    def test_loglik_trace_is_monotone_on_fuzzed_datasets(self, fit):
+        fit = getattr(recon, fit)
         protocols_by_dim = {2: protocols.qst_two_level(2),
                             3: protocols.qst_two_level(3)}
         models = {d: recon.build_measurement_model(p)
@@ -189,7 +205,7 @@ class TestMleState:
                 protocols_by_dim[dim], truth, sim.NoiseConfig(),
                 int(rng.integers(50, 5_000)),
                 seed=qcore.derive_seed(601, "monotone-data", trial))
-            report = recon.mle_state(data, models[dim])
+            report = fit(data, models[dim])
             trace = report.diagnostics["loglik_trace"]
             assert np.all(np.diff(trace) >= -1e-9)
             assert report.converged
@@ -213,14 +229,6 @@ class TestMleState:
                 infids.append(qcore.infidelity(report.estimate, truth, check=False))
             medians.append(np.median(infids))
         assert medians[1] < medians[0] / 10
-
-    def test_rejects_process_models(self):
-        protocol = protocols.qpt_two_level(2)
-        model = recon.build_measurement_model(protocol)
-        data = sim.run_protocol(protocol, qcore.choi_from_unitary(np.eye(2)),
-                                sim.NoiseConfig(), 2_000, seed=0)
-        with pytest.raises(ValueError):
-            recon.mle_state(data, model)
 
 
 class TestPureStateFit:
@@ -272,7 +280,7 @@ class TestPureStateFit:
         data = sim.run_protocol(protocol, truth, sim.NoiseConfig(), 1_000, seed=42)
         full = recon.mle_state(data, model)
         pure = recon.mle_state_pure(data, model)
-        assert recon.select_rank(full, pure, 3) is pure
+        assert recon.select_rank(full, pure) is pure
 
     def test_rank_selection_rejects_pure_for_mixed_truth(self):
         protocol = protocols.qst_two_level(3)
@@ -282,7 +290,7 @@ class TestPureStateFit:
         data = sim.run_protocol(protocol, truth, sim.NoiseConfig(), 10 ** 6, seed=43)
         full = recon.mle_state(data, model)
         pure = recon.mle_state_pure(data, model)
-        assert recon.select_rank(full, pure, 3) is full
+        assert recon.select_rank(full, pure) is full
 
 
 class TestStateFitReports:
@@ -307,11 +315,11 @@ class TestStateFitReports:
             want = scipy.stats.chi2.ppf(recon.RANK_SIGNIFICANCE, dof)
             assert recon._rank_threshold(dim) == want
             # the comparison is inclusive at the threshold
-            pure = SimpleNamespace(log_likelihood=0.0)
+            pure = SimpleNamespace(log_likelihood=0.0, estimate=np.eye(dim))
             edge = SimpleNamespace(log_likelihood=want / 2)
             above = SimpleNamespace(log_likelihood=want)
-            assert recon.select_rank(edge, pure, dim) is pure
-            assert recon.select_rank(above, pure, dim) is above
+            assert recon.select_rank(edge, pure) is pure
+            assert recon.select_rank(above, pure) is above
 
 
 def _rank_datasets():
@@ -341,8 +349,8 @@ class TestEarlyRankDecision:
             pure = recon.mle_state_pure(data, model)
             plain = recon.mle_state(data, model)
             early = recon.mle_state(data, model, pure=pure)
-            want = recon.select_rank(plain, pure, dim)
-            got = recon.select_rank(early, pure, dim)
+            want = recon.select_rank(plain, pure)
+            got = recon.select_rank(early, pure)
             assert (got is pure) == (want is pure)
             assert np.array_equal(got.estimate, want.estimate)
             assert got.log_likelihood == want.log_likelihood
@@ -419,8 +427,8 @@ class TestEarlyRankDecision:
             assert early.diagnostics["stop_reason"] == "pure_kept"
             assert model.probabilities(early.estimate).min() > recon.PROB_FLOOR
             assert early.diagnostics["gap_bound"] is not None
-            want = recon.select_rank(plain, pure, 3)
-            assert want is pure and recon.select_rank(early, pure, 3) is pure
+            want = recon.select_rank(plain, pure)
+            assert want is pure and recon.select_rank(early, pure) is pure
 
 
 class TestMleProcess:
