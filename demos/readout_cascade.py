@@ -1,15 +1,16 @@
-"""Build the cascade readout POVM of a noisy multi-level ion.
+"""Build the cascade readout response of a noisy multi-level ion.
 
 Levels are read out one at a time; a click at level k stops the
 cascade, and surviving to the end is reported as level 0.  Each
 single-level read misses with probability b0 and false-clicks with
-probability b1, so the POVM element of outcome k is the ordered
-product E_k (I - E_{k-1}) ... (I - E_1).
+probability b1, so outcome k is seen from true level j with probability
+r_k(j) (1 - r_{k-1}(j)) ... (1 - r_1(j)), where r_m(j) is the click
+probability of the read of level m.
 
-The script prints the resulting POVM diagonals, then combines them
-with thermal initial populations into a full SPAM model and shows the
-gauge ambiguity: moving depolarizing weight from the preparation into
-the readout leaves every observable probability unchanged.
+The script prints the resulting response rows, then combines them with
+thermal initial populations into a full SPAM model and shows the gauge
+ambiguity: moving depolarizing weight from the preparation into the
+readout leaves every observable probability unchanged.
 """
 
 import numpy as np
@@ -19,23 +20,22 @@ from qudittomo import qcore, readout
 DIM = 3
 B0, B1 = 0.01, 0.02
 
-effects = [readout.level_readout_operator(DIM, j, B0, B1)
-           for j in range(1, DIM)]
-povm = readout.cascade_povm(effects)
+reads = readout.level_reads(DIM, B0, B1)
+response = readout.cascade_response(reads[1:])
 
-print(f"cascade POVM for d={DIM}, miss b0={B0}, false click b1={B1}")
-for k, op in enumerate(povm):
-    diag = ", ".join(f"{x:.4f}" for x in np.diag(op).real)
-    print(f"  outcome {k}: diag({diag})")
-total = sum(povm)
-print(f"  completeness: max |sum - I| = {np.max(np.abs(total - np.eye(DIM))):.1e}")
+print(f"cascade response for d={DIM}, miss b0={B0}, false click b1={B1}")
+for k, row in enumerate(response):
+    probs = ", ".join(f"{x:.4f}" for x in row)
+    print(f"  outcome {k} given level 0..{DIM - 1}: ({probs})")
+print(f"  completeness: max |column sum - 1| = "
+      f"{np.max(np.abs(response.sum(axis=0) - 1.0)):.1e}")
 
 # thermal initialization at T = 1 with level energies (0, 4, 6)
 pops = readout.gibbs_populations(1.0, np.array([0.0, 4.0, 6.0]))
 print(f"\nGibbs populations at T=1: {np.round(pops, 5)}")
+print(f"single-level click probabilities: {np.round(reads @ pops, 5)}")
 
 model = readout.gibbs_cascade_model(DIM, 1.0, np.array([0.0, 4.0, 6.0]), B0, B1)
-print(f"SPAM model response matrix:\n{np.round(model.response, 4)}")
 
 # gauge freedom: a depolarizing factor commutes between preparation
 # and readout, so these two models are observationally identical
@@ -44,10 +44,9 @@ rng = qcore.make_rng(7)
 worst = 0.0
 for _ in range(200):
     u = qcore.haar_unitary(DIM, rng)
-    rho_a = u @ model.initial_state() @ qcore.dagger(u)
-    rho_b = u @ moved.initial_state() @ qcore.dagger(u)
-    p_a = np.array([np.trace(rho_a @ op).real for op in model.povm()])
-    p_b = np.array([np.trace(rho_b @ op).real for op in moved.povm()])
+    # P(k) = sum_j b[k, j] <j| U rho0 U^dag |j>, with rho0 = diag(a)
+    p_a = model.response @ (np.abs(u) ** 2 @ model.populations)
+    p_b = moved.response @ (np.abs(u) ** 2 @ moved.populations)
     worst = max(worst, float(np.max(np.abs(p_a - p_b))))
 print(f"\ngauge-transformed model, 200 random circuits: "
       f"max probability difference {worst:.1e}")

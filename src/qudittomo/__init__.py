@@ -20,14 +20,12 @@ from .circuits import GateSequence, TwoLevelGate, euler_decompose, gate_unitary,
     sequence_unitary, su2_rotation
 from .readout import (
     DiagonalSpamModel,
-    cascade_povm,
     cascade_response,
     gauge_transform,
     gibbs_cascade_model,
     gibbs_populations,
     ideal_spam_model,
-    level_readout_operator,
-    povm_diagonals,
+    level_reads,
 )
 from .protocols import (
     MeasurementCircuit,

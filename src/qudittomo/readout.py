@@ -2,9 +2,12 @@
 
 Readout of a qudit happens as a cascade of binary level reads: level 1 is
 interrogated first, then level 2 on the no-click branch, and so on; outcome
-0 means no level clicked.  Each binary read is described by an effect E_j
-with a false-negative rate b0 (a populated level stays dark) and a
-false-positive rate b1 (an empty level clicks).
+0 means no level clicked.  Each binary read has a false-negative rate b0
+(a populated level stays dark) and a false-positive rate b1 (an empty
+level clicks); `level_reads` gives its click probabilities per true
+level.  All of this is diagonal in the level basis, so the cascade is
+plain arithmetic on those probabilities: `cascade_response` chains the
+reads into the response matrix.
 
 Preparation errors are modeled by a diagonal initial state; thermal
 initialization assigns Boltzmann weights exp(-omega_j / T) to the levels.
@@ -23,60 +26,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qcore
 
+def level_reads(dim, b0, b1):
+    """Click probabilities r[j, m] of a binary read of level j on true level m.
 
-def level_readout_operator(dim, level, b0, b1):
-    """Effect for a binary read of one level.
-
-    Returns (1 - b0) |j><j| + b1 (I - |j><j|) for j = `level`.
+    A read clicks with probability 1 - b0 on its own level (b0 is the miss
+    rate) and b1 on every other level (the false-click rate).
     """
-    if not 0 <= level < dim:
-        raise ValueError(f"level {level} out of range for dimension {dim}")
     for name, val in (("b0", b0), ("b1", b1)):
         if not 0.0 <= val <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {val}")
-    pj = np.zeros((dim, dim), dtype=complex)
-    pj[level, level] = 1.0
-    return (1.0 - b0) * pj + b1 * (np.eye(dim) - pj)
+    r = np.full((dim, dim), float(b1))
+    np.fill_diagonal(r, 1.0 - b0)
+    return r
 
 
-def cascade_povm(effects):
-    """POVM of the sequential level readout.
+def cascade_response(reads):
+    """Response matrix of the sequential level readout.
 
-    `effects` stacks the binary-read effects E_1 .. E_{d-1} (levels 1 and
-    up; level 0 is never read directly).  Outcome k > 0 means level k
-    clicked first:
+    Row m - 1 of `reads`, r_m, holds the click probabilities of the read of
+    level m on each true level, for m = 1 .. d-1 in cascade order (level 0
+    is never read directly).  Outcome k > 0 means read k clicked first, and
+    outcome 0 collects the no-click branch:
 
-        P_k = E_k (I - E_{k-1}) ... (I - E_1),     P_0 = (I - E_{d-1}) ... (I - E_1)
-
-    and outcome 0 collects the no-click branch.  Effects must be Hermitian
-    with spectrum in [0, 1]; non-commuting effects make the products above
-    non-Hermitian and are rejected.
+        b[k] = r_k (1 - r_{k-1}) ... (1 - r_1),     b[0] = (1 - r_{d-1}) ... (1 - r_1)
     """
-    effects = np.asarray(effects, dtype=complex)
-    if effects.ndim != 3 or effects.shape[1] != effects.shape[2]:
-        raise ValueError(f"effects must be stacked (d-1, d, d), got {effects.shape}")
-    dim = effects.shape[1]
-    if effects.shape[0] != dim - 1:
-        raise ValueError(
-            f"need {dim - 1} effects for dimension {dim}, got {effects.shape[0]}")
-    eye = np.eye(dim)
-    for m, e in enumerate(effects):
-        if not qcore.is_hermitian(e):
-            raise ValueError(f"effect {m + 1} is not Hermitian")
-        w = np.linalg.eigvalsh(e)
-        if w.min() < -qcore.ATOL_PSD or w.max() > 1.0 + qcore.ATOL_PSD:
-            raise ValueError(f"effect {m + 1} has spectrum outside [0, 1]")
-
-    ops = np.zeros((dim, dim, dim), dtype=complex)
-    miss = eye.astype(complex)  # (I - E_k) ... (I - E_1), grown left to right
-    for k in range(1, dim):
-        ops[k] = effects[k - 1] @ miss
-        miss = (eye - effects[k - 1]) @ miss
-    ops[0] = miss
-    qcore.check_povm(ops)
-    return ops
+    r = np.asarray(reads, dtype=float)
+    if r.ndim != 2 or r.shape[0] < 1 or r.shape[0] != r.shape[1] - 1:
+        raise ValueError(f"reads must have shape (d-1, d), got {r.shape}")
+    if not np.all((r >= 0.0) & (r <= 1.0)):
+        raise ValueError("read click probabilities must lie in [0, 1]")
+    miss = np.cumprod(1.0 - r, axis=0)  # no read up to this one clicked
+    reached = np.vstack([np.ones(r.shape[1]), miss[:-1]])  # this read happens
+    return np.vstack([miss[-1], r * reached])
 
 
 def gibbs_populations(temperature, omegas):
@@ -92,31 +74,13 @@ def gibbs_populations(temperature, omegas):
     return w / w.sum()
 
 
-def povm_diagonals(ops):
-    """Response matrix b[k, j] = <j| P_k |j> of a diagonal POVM."""
-    ops = np.asarray(ops)
-    b = np.zeros(ops.shape[:2])
-    for k, op in enumerate(ops):
-        off = op - np.diag(np.diagonal(op))
-        if np.max(np.abs(off)) > 1e-12 or np.max(np.abs(np.diagonal(op).imag)) > 1e-12:
-            raise ValueError(f"POVM element {k} is not diagonal")
-        b[k] = np.diagonal(op).real
-    return b
-
-
-def cascade_response(dim, b0, b1):
-    """Response matrix of the cascade readout with level-read rates b0, b1."""
-    effects = np.stack([level_readout_operator(dim, j, b0, b1)
-                        for j in range(1, dim)])
-    return povm_diagonals(cascade_povm(effects))
-
-
 @dataclass(frozen=True)
 class DiagonalSpamModel:
     """Diagonal preparation-and-readout error model.
 
     `populations` holds the initial level populations a_j;
-    `response` is the column-stochastic matrix b[k, j] = P(outcome k | level j).
+    `response` is the column-stochastic matrix b[k, j] = P(outcome k | level j),
+    for the cascade readout the output of `cascade_response`.
     The constructor's checks (entries >= -1e-12, column sums within 1e-10
     of 1) lie inside the tolerances of `qcore.check_povm`, so `povm`
     builds its diagonal effects without re-checking them.
@@ -175,7 +139,7 @@ def gibbs_cascade_model(dim, temperature, omegas, b0, b1):
     if omegas.size != dim:
         raise ValueError(f"need {dim} level energies, got {omegas.size}")
     return DiagonalSpamModel(gibbs_populations(temperature, omegas),
-                             cascade_response(dim, b0, b1))
+                             cascade_response(level_reads(dim, b0, b1)[1:]))
 
 
 def gauge_transform(model, p):

@@ -12,10 +12,9 @@ are fitted by projected gradient ascent on the Choi matrix, and SPAM
 calibration parameters by structured solves: a closed form for the
 general diagonal model and a profile likelihood for the thermal one.
 The three likelihood fits share one input check and one report
-builder.  The process fit's
-projection is the exact Euclidean projection onto the CPTP set, computed
-by a Newton solve for a d x d Lagrange multiplier of the
-trace-preservation constraint.
+builder.  The process fit's projection is the exact Euclidean projection
+onto the CPTP set, computed by a Newton solve for a d x d Lagrange
+multiplier of the trace-preservation constraint.
 
 The general diagonal model has d^2 - 1 parameters, but its d
 calibration circuits determine only d(d - 1) frequencies, so its

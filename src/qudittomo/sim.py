@@ -4,7 +4,8 @@ Every two-level gate is followed by a depolarizing channel of strength
 `gate_depol_p`.  Preparation and readout errors come from
 `NoiseConfig.spam_model`, which maps the configured initialization and
 readout straight to a `readout.DiagonalSpamModel` (populations and
-response matrix); single-level reads come from `NoiseConfig.level_clicks`.
+response matrix); single-level click probabilities come from
+`NoiseConfig.level_clicks`, on the same `readout.level_reads` as the cascade.
 Outcome probabilities come from the reconstruction's own forward model,
 `recon.build_measurement_model` at the configured gate noise, so the
 simulator and the fits share one model of a circuit.
@@ -74,6 +75,11 @@ class NoiseConfig:
         if self.init is not None and not isinstance(self.init, GibbsInit):
             # explicit populations must form the initial state of a SPAM model
             readout.DiagonalSpamModel(self.init, np.eye(np.size(self.init)))
+        if self.readout is not None and not isinstance(self.readout, LevelReadoutError):
+            # an explicit matrix must be the response of a SPAM model
+            response = np.atleast_2d(np.asarray(self.readout, dtype=float))
+            n = response.shape[1]
+            readout.DiagonalSpamModel(np.ones(n) / n, response)
 
     def _populations(self, dim):
         if self.init is None:
@@ -92,7 +98,8 @@ class NoiseConfig:
         if self.readout is None:
             response = np.eye(dim)
         elif isinstance(self.readout, LevelReadoutError):
-            response = readout.cascade_response(dim, self.readout.b0, self.readout.b1)
+            reads = readout.level_reads(dim, self.readout.b0, self.readout.b1)
+            response = readout.cascade_response(reads[1:])
         else:
             response = np.asarray(self.readout, dtype=float)
         return readout.DiagonalSpamModel(self._populations(dim), response)
@@ -101,7 +108,7 @@ class NoiseConfig:
         """Click probability of each level read alone on the initial state.
 
         Level j clicks with probability (1 - b0) a_j + b1 sum_{m != j} a_m,
-        i.e. R @ a with R[j, m] = 1 - b0 if j = m else b1.
+        i.e. `readout.level_reads` applied to the populations a.
         """
         if self.readout is None:
             b0 = b1 = 0.0
@@ -110,9 +117,7 @@ class NoiseConfig:
         else:
             raise ValueError(
                 "single-level reads are undefined for an explicit response matrix")
-        r = np.full((dim, dim), b1)
-        np.fill_diagonal(r, 1.0 - b0)
-        return r @ self._populations(dim)
+        return readout.level_reads(dim, b0, b1) @ self._populations(dim)
 
 
 def noisy_prep_state(circuit, noise):

@@ -149,33 +149,25 @@ def test_criterion_6_structural_counts():
 
 
 def test_criterion_7_cascade_povm_correctness():
-    ideal = [readout.level_readout_operator(3, j, 0.0, 0.0) for j in (1, 2)]
-    for k, op in enumerate(readout.cascade_povm(ideal)):
-        want = np.zeros((3, 3))
-        want[k, k] = 1.0
-        assert np.array_equal(op, want)
+    ideal = readout.cascade_response(readout.level_reads(3, 0.0, 0.0)[1:])
+    assert np.array_equal(ideal, np.eye(3))
 
-    noisy = [readout.level_readout_operator(3, j, 0.01, 0.02) for j in (1, 2)]
-    povm = readout.cascade_povm(noisy)
+    noisy = readout.cascade_response(readout.level_reads(3, 0.01, 0.02)[1:])
     frozen = {0: [0.9604, 0.0098, 0.0098],
               1: [0.02, 0.99, 0.02],
               2: [0.0196, 0.0002, 0.9702]}
     for k, diag in frozen.items():
-        assert np.max(np.abs(np.diag(povm[k]).real - diag)) <= 1e-12
+        assert np.max(np.abs(noisy[k] - diag)) <= 1e-12
 
-    # fuzz domain: random diagonal effects, plus the same families
-    # rotated into a shared random eigenbasis (commuting, so the
-    # ordered products still form a valid POVM)
+    # fuzz domain: random click probabilities of every read on every level;
+    # the diagonal effects diag(b[k]) must form a valid POVM
     for trial in range(50):
         rng = qcore.make_rng(700, "accept-cascade", trial)
         dim = int(rng.integers(2, 6))
-        effects = [np.diag(rng.uniform(0, 1, size=dim)).astype(complex)
-                   for _ in range(dim - 1)]
-        if trial % 2:
-            v = qcore.haar_unitary(dim, rng)
-            effects = [v @ e @ qcore.dagger(v) for e in effects]
-        total = sum(readout.cascade_povm(effects))
-        assert np.max(np.abs(total - np.eye(dim))) <= 1e-12
+        b = readout.cascade_response(rng.uniform(0, 1, size=(dim - 1, dim)))
+        ops = readout.DiagonalSpamModel(np.full(dim, 1.0 / dim), b).povm()
+        qcore.check_povm(ops)
+        assert np.max(np.abs(ops.sum(axis=0) - np.eye(dim))) <= 1e-12
 
 
 def test_criterion_8_solver_self_consistency():

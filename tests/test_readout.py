@@ -1,9 +1,9 @@
 """Readout cascade, thermal initialization, and the diagonal error gauge.
 
-The cascade POVM values here are checked against hand-expanded products
-of the binary-read effects, and the gauge transformation is checked by
-the only property that matters for it: equality of predicted outcome
-probabilities across every unitary circuit.
+The cascade response values here are checked against hand-expanded
+products of the binary-read click probabilities, and the gauge
+transformation is checked by the only property that matters for it:
+equality of predicted outcome probabilities across every unitary circuit.
 """
 
 import numpy as np
@@ -14,79 +14,75 @@ from qudittomo import qcore, readout
 
 class TestLevelReadout:
     def test_noiseless_read_is_a_projector(self):
-        e = readout.level_readout_operator(3, 1, 0.0, 0.0)
-        want = np.zeros((3, 3))
-        want[1, 1] = 1.0
-        assert np.array_equal(e, want)
+        # read j clicks exactly on level j
+        for dim in (2, 3, 5):
+            assert np.array_equal(readout.level_reads(dim, 0.0, 0.0), np.eye(dim))
 
     def test_qubit_example(self):
-        e = readout.level_readout_operator(2, 1, 0.01, 0.02)
-        assert np.allclose(np.diagonal(e), [0.02, 0.99], atol=1e-15)
+        r = readout.level_reads(2, 0.01, 0.02)
+        assert np.allclose(r[1], [0.02, 0.99], atol=1e-15)
 
     def test_qutrit_example(self):
-        e = readout.level_readout_operator(3, 2, 0.01, 0.02)
-        assert np.allclose(np.diagonal(e), [0.02, 0.02, 0.99], atol=1e-15)
+        r = readout.level_reads(3, 0.01, 0.02)
+        assert np.allclose(r[2], [0.02, 0.02, 0.99], atol=1e-15)
 
     def test_rejects_out_of_range_inputs(self):
-        with pytest.raises(ValueError):
-            readout.level_readout_operator(3, 3, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            readout.level_readout_operator(3, 1, -0.1, 0.0)
-        with pytest.raises(ValueError):
-            readout.level_readout_operator(3, 1, 0.0, 1.2)
+        for dim in (2, 3, 5):
+            with pytest.raises(ValueError):
+                readout.level_reads(dim, -0.1, 0.0)
+            with pytest.raises(ValueError):
+                readout.level_reads(dim, 0.0, 1.2)
 
 
 class TestCascadePovm:
     def test_projective_effects_give_projectors(self):
-        effects = np.stack([readout.level_readout_operator(3, j, 0.0, 0.0)
-                            for j in (1, 2)])
-        ops = readout.cascade_povm(effects)
-        assert np.array_equal(
-            ops, np.stack([qcore.projector(qcore.ket(k, 3)) for k in range(3)]))
+        for dim in (2, 3, 5):
+            b = readout.cascade_response(readout.level_reads(dim, 0.0, 0.0)[1:])
+            assert np.array_equal(b, np.eye(dim))
 
     def test_qutrit_noisy_diagonals(self):
-        # hand expansion of P_1 = E_1, P_2 = E_2 (I - E_1),
-        # P_0 = (I - E_2)(I - E_1) at b0 = 0.01, b1 = 0.02
-        effects = np.stack([readout.level_readout_operator(3, j, 0.01, 0.02)
-                            for j in (1, 2)])
-        ops = readout.cascade_povm(effects)
+        # hand expansion of b[1] = r_1, b[2] = r_2 (1 - r_1),
+        # b[0] = (1 - r_2)(1 - r_1) at b0 = 0.01, b1 = 0.02
+        b = readout.cascade_response(readout.level_reads(3, 0.01, 0.02)[1:])
         want = {
             1: [0.02, 0.99, 0.02],
             2: [0.0196, 0.0002, 0.9702],
             0: [0.9604, 0.0098, 0.0098],
         }
-        for k, diag in want.items():
-            assert np.max(np.abs(np.diagonal(ops[k]).real - diag)) < 1e-12
-            assert np.max(np.abs(ops[k] - np.diag(np.diagonal(ops[k])))) < 1e-15
+        for k, row in want.items():
+            assert np.max(np.abs(b[k] - row)) < 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_response_is_the_first_click_distribution(self, dim):
+        # outcome k: reads 1 .. k-1 miss and read k clicks; outcome 0: all miss
+        b0, b1 = 0.03, 0.07
+        r = readout.level_reads(dim, b0, b1)
+        b = readout.cascade_response(r[1:])
+        for j in range(dim):
+            stay = 1.0
+            for k in range(1, dim):
+                assert abs(b[k, j] - stay * r[k, j]) < 1e-15
+                stay *= 1.0 - r[k, j]
+            assert abs(b[0, j] - stay) < 1e-15
 
     def test_sums_to_identity_for_random_diagonal_effects(self):
         for trial in range(100):
             rng = qcore.make_rng(300, "cascade-fuzz", trial)
             dim = int(rng.integers(2, 7))
-            effects = np.stack([np.diag(rng.uniform(0, 1, size=dim))
-                                for _ in range(dim - 1)]).astype(complex)
-            ops = readout.cascade_povm(effects)
-            assert np.max(np.abs(ops.sum(axis=0) - np.eye(dim))) < 1e-10
-            for op in ops:
-                assert np.linalg.eigvalsh(op).min() > -1e-10
+            b = readout.cascade_response(rng.uniform(0, 1, size=(dim - 1, dim)))
+            assert np.max(np.abs(b.sum(axis=0) - 1.0)) < 1e-10
+            assert b.min() >= 0.0
 
     def test_rejects_invalid_effects(self):
         with pytest.raises(ValueError):
-            readout.cascade_povm(np.stack([np.diag([1.5, 0.0]).astype(complex)]))
+            readout.cascade_response(np.array([[1.5, 0.0]]))
         with pytest.raises(ValueError):
-            non_herm = np.array([[[0.5, 0.3], [0.0, 0.5]]], dtype=complex)
-            readout.cascade_povm(non_herm)
-        # non-commuting effects make the ordered products non-Hermitian,
-        # which fails the output POVM validation
-        e1 = np.array([[0.5, 0.4, 0.0],
-                       [0.4, 0.5, 0.0],
-                       [0.0, 0.0, 0.2]], dtype=complex)
-        e2 = np.diag([0.9, 0.1, 0.5]).astype(complex)
+            readout.cascade_response(np.array([[0.5, np.nan]]))
         with pytest.raises(ValueError):
-            readout.cascade_povm(np.stack([e1, e2]))
+            # wrong read count for the dimension
+            readout.cascade_response(np.full((1, 3), 0.5))
         with pytest.raises(ValueError):
-            # wrong effect count for the dimension
-            readout.cascade_povm(np.stack([np.eye(3, dtype=complex) * 0.5]))
+            readout.cascade_response(np.full(2, 0.5))
 
 
 class TestGibbsPopulations:
@@ -133,20 +129,6 @@ class TestDiagonalModels:
         assert np.array_equal(
             ops, np.stack([qcore.projector(qcore.ket(k, 3)) for k in range(3)]))
 
-    def test_povm_diagonals_inverts_diagonal_povm(self):
-        rng = qcore.make_rng(302, "diag-roundtrip")
-        b = rng.uniform(0.05, 1.0, size=(4, 4))
-        b /= b.sum(axis=0, keepdims=True)
-        ops = readout.DiagonalSpamModel(np.full(4, 0.25), b).povm()
-        assert np.max(np.abs(readout.povm_diagonals(ops) - b)) < 1e-14
-
-    def test_povm_diagonals_rejects_off_diagonal_elements(self):
-        ops = readout.ideal_spam_model(2).povm()
-        ops[0, 0, 1] = 0.1
-        ops[0, 1, 0] = 0.1
-        with pytest.raises(ValueError):
-            readout.povm_diagonals(ops)
-
     def test_realistic_fit_values_form_a_valid_model(self):
         a = np.array([0.97, 0.03, 0.0])
         b = np.array([[0.98, 0.0, 0.01],
@@ -172,7 +154,7 @@ class TestDiagonalModels:
             model = readout.DiagonalSpamModel(rng.dirichlet(np.ones(dim)), b)
             ops = model.povm()
             qcore.check_povm(ops)
-            assert np.array_equal(readout.povm_diagonals(ops), b)
+            assert np.array_equal(np.diagonal(ops, axis1=1, axis2=2), b)
 
     def test_model_rejects_broken_simplexes(self):
         with pytest.raises(ValueError):

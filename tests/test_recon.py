@@ -500,6 +500,23 @@ class TestMleProcess:
         assert tight.log_likelihood - report.log_likelihood <= gap
         assert tight.diagnostics["gap_bound"] <= gap
 
+    @pytest.mark.parametrize("dim,shots,unmeasured", [(2, 7, 5), (3, 40, 23)])
+    def test_circuits_without_shots_leave_a_feasible_fit(self, dim, shots,
+                                                         unmeasured):
+        protocol = protocols.qpt_two_level(dim)
+        model = recon.build_measurement_model(protocol)
+        truth = qcore.choi_depolarize(
+            qcore.choi_from_unitary(qcore.haar_unitary(dim, qcore.make_rng(55))),
+            0.05)
+        data = sim.run_protocol(protocol, truth, sim.NoiseConfig(), shots, seed=55)
+        assert np.count_nonzero(data.shots == 0) == unmeasured
+        report = recon.mle_process(data, model)
+        diag = report.diagnostics
+        assert diag["stop_reason"] == "tol" and report.converged
+        assert diag["tp_residual"] <= 1e-12
+        assert diag["min_eigenvalue"] >= -1e-12
+        assert np.isfinite(report.max_residual)
+
     def test_true_spam_model_beats_ideal_model_on_noisy_data(self):
         noise = sim.NoiseConfig(gate_depol_p=0.001,
                                 init=sim.GibbsInit(1.0, (0.0, 4.0, 6.0)),

@@ -255,6 +255,14 @@ class TestSpamModel:
         with pytest.raises(ValueError):
             sim.NoiseConfig(init=np.array([1.1, -0.1]))
 
+    def test_rejects_invalid_explicit_response(self):
+        with pytest.raises(ValueError):
+            sim.NoiseConfig(readout=[[0.5, 0.5], [0.6, 0.5]])
+        with pytest.raises(ValueError):
+            sim.NoiseConfig(readout=[[1.1, 0.0], [-0.1, 1.0]])
+        with pytest.raises(ValueError):
+            sim.NoiseConfig(readout=np.full((2, 3), 0.5))
+
 
 class TestLevelReads:
     def test_click_statistics_match_the_effect(self):
@@ -262,10 +270,9 @@ class TestLevelReads:
                                 readout=sim.LevelReadoutError(0.01, 0.02))
         data = sim.simulate_level_reads(3, noise, 3 * 10 ** 6, seed=11)
         assert data.counts.shape == (3, 2)
-        rho0 = noise.spam_model(3).initial_state()
+        a = noise.spam_model(3).populations
         for j in range(3):
-            effect = readout.level_readout_operator(3, j, 0.01, 0.02)
-            want = float(np.real(np.trace(rho0 @ effect)))
+            want = (1 - 0.01) * a[j] + 0.02 * (1 - a[j])
             got = data.counts[j, 1] / data.shots[j]
             assert abs(got - want) < 5 * np.sqrt(want * (1 - want) / data.shots[j])
 
