@@ -22,14 +22,16 @@ DIM = 3
 SHOTS = 300_000
 OMEGAS = np.array([0.0, 4.0, 6.0])
 
-noise = sim.NoiseConfig(gate_depol_p=0.001, truth_depol_p=0.01,
-                        init=sim.GibbsInit(1.0, tuple(OMEGAS)),
-                        readout=sim.LevelReadoutError(0.01, 0.02))
+TRUTH_DEPOL_P = 0.01
+B0, B1 = 0.01, 0.02
+
+spam = readout.gibbs_cascade_model(DIM, 1.0, OMEGAS, B0, B1)
+noise = sim.NoiseConfig(gate_depol_p=0.001, spam=spam)
 
 rng = qcore.make_rng(3, "demo-truth")
 truth = qcore.choi_depolarize(
     qcore.choi_from_unitary(qcore.haar_unitary(DIM, rng)),
-    noise.truth_depol_p)
+    TRUTH_DEPOL_P)
 
 protocol = protocols.qpt_two_level(DIM)
 data = sim.run_protocol(protocol, truth, noise, SHOTS, seed=14)
@@ -40,12 +42,13 @@ calibration = sim.run_protocol(protocols.spam_calibration_circuits(DIM),
                                None, noise, 1_000_000, seed=15)
 general = recon.estimate_spam_general(calibration,
                                       gate_depol_p=noise.gate_depol_p)
-reads = sim.simulate_level_reads(DIM, noise, 1_000_000, seed=16)
+clicks = readout.level_reads(DIM, B0, B1) @ spam.populations
+reads = sim.simulate_level_reads(clicks, 1_000_000, seed=16)
 gibbs = recon.estimate_spam_gibbs(reads, OMEGAS).estimate
 
 models = (
     ("Ideal model", None),
-    ("True model", noise.spam_model(DIM)),
+    ("True model", spam),
     ("SPAM errors model 1", general.estimate),
     ("SPAM errors model 2", readout.gibbs_cascade_model(
         DIM, gibbs["temperature"], OMEGAS, gibbs["b0"], gibbs["b1"])),

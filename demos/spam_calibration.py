@@ -19,14 +19,15 @@ Both fits are deterministic and take well under a second.
 
 import numpy as np
 
-from qudittomo import protocols, qcore, recon, sim
+from qudittomo import protocols, readout, recon, sim
 
 SHOTS = 1_000_000
 OMEGAS = np.array([0.0, 4.0, 6.0])
 
-noise = sim.NoiseConfig(gate_depol_p=0.001,
-                        init=sim.GibbsInit(1.0, tuple(OMEGAS)),
-                        readout=sim.LevelReadoutError(0.01, 0.02))
+B0, B1 = 0.01, 0.02
+
+spam = readout.gibbs_cascade_model(3, 1.0, OMEGAS, B0, B1)
+noise = sim.NoiseConfig(gate_depol_p=0.001, spam=spam)
 
 # --- general diagonal fit --------------------------------------------
 circuits = protocols.spam_calibration_circuits(3)
@@ -44,7 +45,8 @@ print("  (populations and response are only defined up to a flat set;")
 print("   the residual above is the meaningful figure)")
 
 # --- thermal three-parameter fit -------------------------------------
-reads = sim.simulate_level_reads(3, noise, SHOTS, seed=13)
+clicks = readout.level_reads(3, B0, B1) @ spam.populations
+reads = sim.simulate_level_reads(clicks, SHOTS, seed=13)
 gibbs = recon.estimate_spam_gibbs(reads, OMEGAS)
 est = gibbs.estimate
 print("\nthermal readout fit (truth T=1, b0=0.01, b1=0.02)")

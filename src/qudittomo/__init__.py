@@ -41,8 +41,6 @@ from .protocols import (
 )
 from .sim import (
     CountsDataset,
-    GibbsInit,
-    LevelReadoutError,
     NoiseConfig,
     allocate_shots,
     circuit_probabilities,

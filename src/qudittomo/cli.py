@@ -5,7 +5,12 @@ Four subcommands run the reference experiments at configurable scale:
 a sample-size grid, `qpt-models` races process-tomography models with
 and without fitted SPAM corrections, `spam-fit` runs the calibration
 fits on synthetic data, and `completeness` reports protocol sizes and
-design-matrix ranks.  Every output file embeds the resolved
+design-matrix ranks.  The simulated truth state or process is depolarized
+by `truth_depol_p`, every gate by `gate_depol_p`; `qpt-models` and
+`spam-fit` simulate thermal initialization at `temperature` over the
+level energies `omegas` and cascade readout with rates (b0, b1), the
+`readout.gibbs_cascade_model` that "SPAM errors model 2" fits.
+`qst-compare` simulates ideal SPAM.  Every output file embeds the resolved
 configuration and root seed, so a rerun with the same inputs is byte
 identical.  Set QUDITTOMO_MAX_WORKERS to run trials in parallel.
 """
@@ -187,11 +192,15 @@ def _sorted_rows(chunks):
     return sorted(rows, key=lambda r: (r[1], r[3], r[4]))
 
 
-def _qst_point(dim, n_shots, trial, seed, noise):
-    """One grid point: a fresh random state measured under both protocols."""
+def _qst_point(config, n_shots, trial, noise):
+    """One grid point: a fresh random state measured under both protocols.
+
+    The state is Haar random, depolarized by `config.truth_depol_p`.
+    """
+    dim, seed = config.dim, config.seed
     rng = qcore.make_rng(seed, f"qst-truth-{n_shots}", trial)
     truth = qcore.depolarize(qcore.projector(qcore.haar_state(dim, rng)),
-                             noise.truth_depol_p)
+                             config.truth_depol_p)
     rows = []
     for label, protocol in (("2-level", protocols.qst_two_level(dim)),
                             ("MUB", protocols.mub_protocol(dim))):
@@ -224,34 +233,39 @@ def run_qst_compare(config):
         protocols.mub_bases(config.dim)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    noise = sim.NoiseConfig(gate_depol_p=config.gate_depol_p,
-                            truth_depol_p=config.truth_depol_p)
-    jobs = [(config.dim, n, t, config.seed, noise)
+    noise = sim.NoiseConfig(gate_depol_p=config.gate_depol_p)
+    jobs = [(config, n, t, noise)
             for n in config.grid for t in range(config.trials)]
     return _sorted_rows(_run_jobs(_qst_point, jobs))
 
 
-def _qpt_trial(dim, grid, trial, seed, noise, calibration_shots):
-    """One trial: a fresh random process, one calibration, all grid points."""
+def _qpt_trial(config, trial, noise, clicks):
+    """One trial: a fresh random process, one calibration, all grid points.
+
+    The process is a Haar-random unitary depolarized by
+    `config.truth_depol_p`; `noise` and `clicks` come from `_full_noise`.
+    """
+    dim, seed = config.dim, config.seed
     rng = qcore.make_rng(seed, "qpt-truth", trial)
     truth = qcore.choi_depolarize(
         qcore.choi_from_unitary(qcore.haar_unitary(dim, rng)),
-        noise.truth_depol_p)
+        config.truth_depol_p)
     protocol = protocols.qpt_two_level(dim)
-    omegas = np.asarray(noise.init.omegas)
+    omegas = np.asarray(config.omegas)
 
     calibration = sim.run_protocol(
         protocols.spam_calibration_circuits(dim), None, noise,
-        calibration_shots, seed=qcore.derive_seed(seed, "qpt-calibration", trial))
+        config.calibration_shots,
+        seed=qcore.derive_seed(seed, "qpt-calibration", trial))
     general = recon.estimate_spam_general(calibration,
                                           gate_depol_p=noise.gate_depol_p)
     reads = sim.simulate_level_reads(
-        dim, noise, calibration_shots,
+        clicks, config.calibration_shots,
         seed=qcore.derive_seed(seed, "qpt-level-reads", trial))
     gibbs = recon.estimate_spam_gibbs(reads, omegas).estimate
 
     spams = (("Ideal model", None),
-             ("True model", noise.spam_model(dim)),
+             ("True model", noise.spam),
              ("SPAM errors model 1", general.estimate),
              ("SPAM errors model 2", readout.gibbs_cascade_model(
                  dim, gibbs["temperature"], omegas, gibbs["b0"], gibbs["b1"])))
@@ -259,7 +273,7 @@ def _qpt_trial(dim, grid, trial, seed, noise, calibration_shots):
               for label, spam in spams]
 
     rows = []
-    for n_shots in grid:
+    for n_shots in config.grid:
         data = sim.run_protocol(
             protocol, truth, noise, n_shots,
             seed=qcore.derive_seed(seed, f"qpt-counts-{n_shots}", trial))
@@ -274,35 +288,39 @@ def _qpt_trial(dim, grid, trial, seed, noise, calibration_shots):
 
 
 def _full_noise(config):
-    if len(config.omegas) != config.dim:
-        raise ConfigError(f"omegas must list {config.dim} level energies, "
-                          f"got {len(config.omegas)}")
-    return sim.NoiseConfig(gate_depol_p=config.gate_depol_p,
-                           truth_depol_p=config.truth_depol_p,
-                           init=sim.GibbsInit(config.temperature, config.omegas),
-                           readout=sim.LevelReadoutError(config.b0, config.b1))
+    """The simulated noise and the click probabilities of the level reads.
+
+    SPAM is thermal initialization at `temperature` over the level energies
+    `omegas`, read out by the cascade with rates (b0, b1).
+    """
+    dim = config.dim
+    try:
+        spam = readout.gibbs_cascade_model(dim, config.temperature, config.omegas,
+                                           config.b0, config.b1)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    clicks = readout.level_reads(dim, config.b0, config.b1) @ spam.populations
+    return sim.NoiseConfig(gate_depol_p=config.gate_depol_p, spam=spam), clicks
 
 
 def run_qpt_models(config):
     """Process-model comparison; returns canonically sorted result rows."""
-    noise = _full_noise(config)
-    jobs = [(config.dim, config.grid, t, config.seed, noise,
-             config.calibration_shots) for t in range(config.trials)]
+    noise, clicks = _full_noise(config)
+    jobs = [(config, t, noise, clicks) for t in range(config.trials)]
     return _sorted_rows(_run_jobs(_qpt_trial, jobs))
 
 
 def run_spam_fits(config):
     """Calibration fits on synthetic data; returns the JSON report."""
-    noise = _full_noise(config)
+    noise, clicks = _full_noise(config)
     dim = config.dim
-    truth_model = noise.spam_model(dim)
     report = {
         "experiment": config.experiment,
         "config": config.to_dict(),
         "seed": config.seed,
         "truth": {
-            "populations": truth_model.populations.tolist(),
-            "response": truth_model.response.tolist(),
+            "populations": noise.spam.populations.tolist(),
+            "response": noise.spam.response.tolist(),
             "temperature": config.temperature,
             "b0": config.b0,
             "b1": config.b1,
@@ -320,13 +338,13 @@ def run_spam_fits(config):
         np.max(np.abs(predicted - true_probs)))
 
     reads = sim.simulate_level_reads(
-        dim, noise, config.calibration_shots,
+        clicks, config.calibration_shots,
         seed=qcore.derive_seed(config.seed, "spam-level-reads"))
     fit = recon.estimate_spam_gibbs(reads, np.asarray(config.omegas))
     predicted = np.asarray(fit.diagnostics["predicted_click_probs"])
     report["spam_gibbs"] = fit.to_dict()
     report["spam_gibbs"]["predictive_residual"] = float(
-        np.max(np.abs(predicted - noise.level_clicks(dim))))
+        np.max(np.abs(predicted - clicks)))
     return report
 
 

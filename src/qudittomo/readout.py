@@ -12,9 +12,10 @@ reads into the response matrix.
 Preparation errors are modeled by a diagonal initial state; thermal
 initialization assigns Boltzmann weights exp(-omega_j / T) to the levels.
 `DiagonalSpamModel` (populations a and column-stochastic response B) is
-the one representation of preparation and readout: the simulated truth,
-the calibration fits and the forward model all use it, and the cascade
-enters it only through `cascade_response`.
+the one representation of preparation and readout: the simulated truth
+(`sim.NoiseConfig.spam`), the calibration fits and the forward model all
+use it.  `gibbs_cascade_model` is the one builder of the thermal cascade
+model, and the cascade enters it only through `cascade_response`.
 Diagonal preparation and readout errors together form a d^2 - 1 parameter
 model.  Its d calibration circuits determine only d(d - 1) frequencies, so
 the model is identifiable from calibration data only up to a flat set of

@@ -117,7 +117,7 @@ class MeasurementModel:
     def n_outcomes(self):
         return self.operators.shape[1]
 
-    @property
+    @functools.cached_property
     def matrix(self):
         """Real (n_circuits * n_outcomes, 2 D^2) view of `operators`, no copy."""
         dd = self.operators.shape[-1]
@@ -363,18 +363,13 @@ def mle_state_pure(data, model, tol=1e-10, max_iter=10000):
                         "stop_reason": stop_reason})
 
 
-# chi-squared thresholds of the rank test, one per dim
-_RANK_THRESHOLDS = {}
-
-
+@functools.cache
 def _rank_threshold(dim):
-    if dim not in _RANK_THRESHOLDS:
-        dof = (dim * dim - 1) - (2 * dim - 2)
-        # the chi-squared quantile, as scipy.stats.chi2.ppf computes it;
-        # scipy.stats itself is slow to import
-        _RANK_THRESHOLDS[dim] = float(
-            2.0 * scipy.special.gammaincinv(dof / 2, RANK_SIGNIFICANCE))
-    return _RANK_THRESHOLDS[dim]
+    """Chi-squared threshold of the rank test in dimension `dim`."""
+    dof = (dim * dim - 1) - (2 * dim - 2)
+    # the chi-squared quantile, as scipy.stats.chi2.ppf computes it;
+    # scipy.stats itself is slow to import
+    return float(2.0 * scipy.special.gammaincinv(dof / 2, RANK_SIGNIFICANCE))
 
 
 def _keeps_pure(ll_full, ll_pure, threshold):

@@ -1,11 +1,11 @@
 """Noisy measurement simulation for tomography circuits.
 
 Every two-level gate is followed by a depolarizing channel of strength
-`gate_depol_p`.  Preparation and readout errors come from
-`NoiseConfig.spam_model`, which maps the configured initialization and
-readout straight to a `readout.DiagonalSpamModel` (populations and
-response matrix); single-level click probabilities come from
-`NoiseConfig.level_clicks`, on the same `readout.level_reads` as the cascade.
+`gate_depol_p`.  Preparation and readout errors are one
+`readout.DiagonalSpamModel` (populations and response matrix), held by
+`NoiseConfig` and resolved per dimension by `NoiseConfig.spam_model`;
+`simulate_level_reads` samples single-level reads from click
+probabilities its caller computes, e.g. with `readout.level_reads`.
 Outcome probabilities come from the reconstruction's own forward model,
 `recon.build_measurement_model` at the configured gate noise, so the
 simulator and the fits share one model of a circuit.
@@ -27,97 +27,33 @@ from .recon import build_measurement_model
 
 
 @dataclass(frozen=True)
-class GibbsInit:
-    """Thermal initialization parameters."""
-
-    temperature: float
-    omegas: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "omegas", tuple(float(w) for w in self.omegas))
-        readout.gibbs_populations(self.temperature, np.asarray(self.omegas))
-
-
-@dataclass(frozen=True)
-class LevelReadoutError:
-    """False-negative (b0) and false-positive (b1) rates of a level read."""
-
-    b0: float
-    b1: float
-
-    def __post_init__(self):
-        for name, val in (("b0", self.b0), ("b1", self.b1)):
-            if not 0.0 <= val <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {val}")
-
-
-@dataclass(frozen=True)
 class NoiseConfig:
     """Noise model of a simulated experiment.
 
-    init: None (perfect |0>), GibbsInit, or explicit level populations.
-    readout: None (projective), LevelReadoutError (cascade readout), or an
-    explicit column-stochastic response matrix.
-    `truth_depol_p` is not applied here; experiment drivers use it to
-    depolarize the state or process under study.
+    `gate_depol_p` depolarizes after every two-level gate; `spam` is the
+    preparation and readout, a `readout.DiagonalSpamModel`, or None for
+    perfect |0> preparation and projective readout.
     """
 
     gate_depol_p: float = 0.0
-    truth_depol_p: float = 0.0
-    init: object = None
-    readout: object = None
+    spam: readout.DiagonalSpamModel = None
 
     def __post_init__(self):
-        for name in ("gate_depol_p", "truth_depol_p"):
-            val = getattr(self, name)
-            if not 0.0 <= val <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {val}")
-        if self.init is not None and not isinstance(self.init, GibbsInit):
-            # explicit populations must form the initial state of a SPAM model
-            readout.DiagonalSpamModel(self.init, np.eye(np.size(self.init)))
-        if self.readout is not None and not isinstance(self.readout, LevelReadoutError):
-            # an explicit matrix must be the response of a SPAM model
-            response = np.atleast_2d(np.asarray(self.readout, dtype=float))
-            n = response.shape[1]
-            readout.DiagonalSpamModel(np.ones(n) / n, response)
-
-    def _populations(self, dim):
-        if self.init is None:
-            a = np.zeros(dim)
-            a[0] = 1.0
-            return a
-        if isinstance(self.init, GibbsInit):
-            omegas = np.asarray(self.init.omegas)
-            if omegas.size != dim:
-                raise ValueError(f"need {dim} level energies, got {omegas.size}")
-            return readout.gibbs_populations(self.init.temperature, omegas)
-        return np.asarray(self.init, dtype=float)
+        if not 0.0 <= self.gate_depol_p <= 1.0:
+            raise ValueError(
+                f"gate_depol_p must lie in [0, 1], got {self.gate_depol_p}")
+        if self.spam is not None and not isinstance(self.spam, readout.DiagonalSpamModel):
+            raise TypeError(f"spam must be a DiagonalSpamModel or None, "
+                            f"got {type(self.spam).__name__}")
 
     def spam_model(self, dim):
-        """The configured preparation and readout as a DiagonalSpamModel."""
-        if self.readout is None:
-            response = np.eye(dim)
-        elif isinstance(self.readout, LevelReadoutError):
-            reads = readout.level_reads(dim, self.readout.b0, self.readout.b1)
-            response = readout.cascade_response(reads[1:])
-        else:
-            response = np.asarray(self.readout, dtype=float)
-        return readout.DiagonalSpamModel(self._populations(dim), response)
-
-    def level_clicks(self, dim):
-        """Click probability of each level read alone on the initial state.
-
-        Level j clicks with probability (1 - b0) a_j + b1 sum_{m != j} a_m,
-        i.e. `readout.level_reads` applied to the populations a.
-        """
-        if self.readout is None:
-            b0 = b1 = 0.0
-        elif isinstance(self.readout, LevelReadoutError):
-            b0, b1 = self.readout.b0, self.readout.b1
-        else:
+        """The preparation and readout of a dimension-`dim` circuit."""
+        if self.spam is None:
+            return readout.ideal_spam_model(dim)
+        if self.spam.dim != dim:
             raise ValueError(
-                "single-level reads are undefined for an explicit response matrix")
-        return readout.level_reads(dim, b0, b1) @ self._populations(dim)
+                f"SPAM model dimension {self.spam.dim} != circuit dimension {dim}")
+        return self.spam
 
 
 def noisy_prep_state(circuit, noise):
@@ -292,13 +228,16 @@ def run_protocol(protocol, truth, noise, total_shots, seed):
     return CountsDataset(labels, shots, counts)
 
 
-def simulate_level_reads(dim, noise, total_shots, seed):
+def simulate_level_reads(clicks, total_shots, seed):
     """Binary reads of each level on the bare initial state.
 
-    Circuit j interrogates level j alone; outcome 1 is a click.  Used to
-    calibrate the thermal-initialization readout model.
+    Circuit j interrogates level j alone and clicks (outcome 1) with
+    probability `clicks[j]`; for the cascade's level reads on populations
+    a these are `readout.level_reads(d, b0, b1) @ a`.  Used to calibrate
+    the thermal-initialization readout model.
     """
-    p_clicks = np.clip(noise.level_clicks(dim), 0.0, 1.0)
+    p_clicks = np.clip(np.asarray(clicks, dtype=float), 0.0, 1.0)
+    dim = p_clicks.size
     shots = allocate_shots(total_shots, dim)
     rng = qcore.make_rng(seed, "level-reads")
     counts = np.zeros((dim, 2), dtype=np.int64)

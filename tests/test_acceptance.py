@@ -39,6 +39,12 @@ def calibration_loglik(data, model, gate_depol_p, dim):
     return float(np.sum(np.asarray(data.counts) * np.log(rows)))
 
 
+# thermal initialization (T = 1) and cascade readout (b0 = 0.01, b1 = 0.02)
+OMEGAS = np.array([0.0, 4.0, 6.0])
+SPAM = readout.gibbs_cascade_model(3, 1.0, OMEGAS, 0.01, 0.02)
+CLICKS = readout.level_reads(3, 0.01, 0.02) @ SPAM.populations
+
+
 def test_criterion_1_protocol_crossover():
     config = cli.ExperimentConfig(experiment="qst_compare", dim=3,
                                   grid=(1_000, 1_000_000), trials=50, seed=1)
@@ -87,13 +93,11 @@ def test_criterion_3_process_model_ordering():
 
 
 def test_criterion_4_gibbs_fit_tolerances():
-    noise = sim.NoiseConfig(init=sim.GibbsInit(1.0, (0.0, 4.0, 6.0)),
-                            readout=sim.LevelReadoutError(0.01, 0.02))
     hits = 0
     for s in range(10):
         reads = sim.simulate_level_reads(
-            3, noise, 10 ** 6, seed=qcore.derive_seed(s, "accept-gibbs"))
-        est = recon.estimate_spam_gibbs(reads, np.array([0.0, 4.0, 6.0])).estimate
+            CLICKS, 10 ** 6, seed=qcore.derive_seed(s, "accept-gibbs"))
+        est = recon.estimate_spam_gibbs(reads, OMEGAS).estimate
         ok = (abs(est["temperature"] - 1.0) <= 0.05
               and abs(est["b0"] - 0.01) <= 0.005
               and abs(est["b1"] - 0.02) <= 0.005)
@@ -104,9 +108,7 @@ def test_criterion_4_gibbs_fit_tolerances():
 
 
 def test_criterion_5_general_fit_predictive_accuracy():
-    noise = sim.NoiseConfig(gate_depol_p=0.001,
-                            init=sim.GibbsInit(1.0, (0.0, 4.0, 6.0)),
-                            readout=sim.LevelReadoutError(0.01, 0.02))
+    noise = sim.NoiseConfig(gate_depol_p=0.001, spam=SPAM)
     circuits = protocols.spam_calibration_circuits(3)
     data = sim.run_protocol(circuits, None, noise, 10 ** 6,
                             seed=qcore.derive_seed(5, "accept-general"))
@@ -117,9 +119,8 @@ def test_criterion_5_general_fit_predictive_accuracy():
     predicted = np.asarray(fit.diagnostics["predicted_probs"])
     residual = float(np.max(np.abs(predicted - true_probs)))
 
-    truth = noise.spam_model(3)
-    moved = readout.gauge_transform(truth, 0.9 * 3 * truth.populations.min())
-    gap = abs(calibration_loglik(data, truth, 0.001, 3)
+    moved = readout.gauge_transform(SPAM, 0.9 * 3 * SPAM.populations.min())
+    gap = abs(calibration_loglik(data, SPAM, 0.001, 3)
               - calibration_loglik(data, moved, 0.001, 3)) / data.total_shots
     print(f"predictive residual {residual:.2e}; gauge gap {gap:.2e} per shot")
     assert residual <= 0.01
@@ -192,17 +193,14 @@ def test_criterion_8_solver_self_consistency():
     tp = qcore.choi_output_trace(report.estimate)
     assert np.max(np.abs(tp - np.eye(3))) <= 1e-6
 
-    noise = sim.NoiseConfig(init=sim.GibbsInit(1.0, (0.0, 4.0, 6.0)),
-                            readout=sim.LevelReadoutError(0.01, 0.02))
-    clicks = noise.level_clicks(3)
     shots = 10 ** 6
     counts = np.empty((3, 2))
     for j in range(3):
-        p = float(clicks[j])
+        p = float(CLICKS[j])
         counts[j] = ((1 - p) * shots, p * shots)
     reads = sim.CountsDataset(("read0", "read1", "read2"),
                               np.full(3, float(shots)), counts)
-    est = recon.estimate_spam_gibbs(reads, np.array([0.0, 4.0, 6.0])).estimate
+    est = recon.estimate_spam_gibbs(reads, OMEGAS).estimate
     gibbs_dev = max(abs(est["temperature"] - 1.0), abs(est["b0"] - 0.01),
                     abs(est["b1"] - 0.02))
     assert gibbs_dev <= 1e-4

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from qudittomo import cli
+from qudittomo import cli, readout
 
 
 def run_main(argv):
@@ -121,6 +121,37 @@ def test_spam_fit_report_and_determinism(tmp_path):
     assert abs(est["temperature"] - 1.0) < 0.5
     assert run_main(argv) == 0
     assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize("dim, omegas", [(2, [0.0, 4.0]),
+                                         (5, [0.0, 2.0, 4.0, 6.0, 8.0])],
+                         ids=["d2", "d5"])
+def test_spam_fit_truth_is_the_gibbs_cascade_model(dim, omegas, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dim": dim, "omegas": omegas}))
+    out = tmp_path / "spam.json"
+    argv = ["spam-fit", "--config", str(cfg), "--seed", "11", "--out", str(out)]
+    assert run_main(argv) == 0
+    first = out.read_bytes()
+    truth = json.loads(first)["truth"]
+    want = readout.gibbs_cascade_model(dim, 1.0, omegas, 0.01, 0.02)
+    assert truth["populations"] == want.populations.tolist()
+    assert truth["response"] == want.response.tolist()
+    assert (truth["temperature"], truth["b0"], truth["b1"]) == (1.0, 0.01, 0.02)
+    assert run_main(argv) == 0
+    assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_level_read_clicks_match_the_gibbs_read_model(dim):
+    omegas = tuple(2.0 * np.arange(dim))
+    config = cli.ExperimentConfig(experiment="spam_fit", dim=dim,
+                                  temperature=1.3, omegas=omegas)
+    noise, clicks = cli._full_noise(config)
+    a = readout.gibbs_populations(1.3, np.asarray(omegas))
+    assert np.array_equal(noise.spam.populations, a)
+    want = (1.0 - config.b0) * a + config.b1 * (1.0 - a)
+    assert np.max(np.abs(clicks - want)) <= 1e-15
 
 
 def test_completeness_report_qutrit(tmp_path, capsys):

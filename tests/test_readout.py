@@ -164,6 +164,14 @@ class TestDiagonalModels:
                                       np.array([[0.5, 0.0], [0.2, 1.0]]))
         with pytest.raises(ValueError):
             readout.DiagonalSpamModel(np.array([1.0, 0.0]), np.eye(3))
+        with pytest.raises(ValueError):
+            readout.DiagonalSpamModel(np.array([1.0, 0.0]), np.full((2, 3), 0.5))
+        # entries below zero, with sums still 1
+        with pytest.raises(ValueError):
+            readout.DiagonalSpamModel(np.array([1.1, -0.1]), np.eye(2))
+        with pytest.raises(ValueError):
+            readout.DiagonalSpamModel(np.array([1.0, 0.0]),
+                                      np.array([[1.1, 0.0], [-0.1, 1.0]]))
 
     def test_cold_noiseless_limit_is_ideal(self):
         model = readout.gibbs_cascade_model(3, 1e-4, np.array([0.0, 4.0, 6.0]),

@@ -16,6 +16,11 @@ import scipy.stats
 from qudittomo import protocols, qcore, readout, recon, sim
 
 
+# thermal initialization (T = 1) and cascade readout (b0 = 0.01, b1 = 0.02)
+THERMAL_SPAM = readout.gibbs_cascade_model(3, 1.0, (0.0, 4.0, 6.0), 0.01, 0.02)
+THERMAL_CLICKS = readout.level_reads(3, 0.01, 0.02) @ THERMAL_SPAM.populations
+
+
 def exact_dataset(protocol, truth, noise, shots=10 ** 6):
     """Counts equal to shots times the exact outcome probabilities."""
     probs = np.stack([sim.circuit_probabilities(c, truth, noise, check=False)
@@ -54,9 +59,8 @@ class TestMeasurementModel:
                                         "qpt_two_level"])
     def test_real_design_matrix_matches_einsum(self, family, dim):
         protocol = getattr(protocols, family)(dim)
-        noise = sim.NoiseConfig(init=sim.GibbsInit(1.0, tuple(range(dim))),
-                                readout=sim.LevelReadoutError(0.01, 0.02))
-        model = recon.build_measurement_model(protocol, spam=noise.spam_model(dim))
+        spam = readout.gibbs_cascade_model(dim, 1.0, np.arange(dim), 0.01, 0.02)
+        model = recon.build_measurement_model(protocol, spam=spam)
         ops = model.operators
         dd = ops.shape[-1]
         assert model.matrix.shape == (model.n_circuits * model.n_outcomes, 2 * dd * dd)
@@ -72,10 +76,9 @@ class TestMeasurementModel:
 
     def test_true_spam_model_matches_simulator(self):
         # with no gate noise, model probabilities equal simulated ones
-        noise = sim.NoiseConfig(init=sim.GibbsInit(1.0, (0.0, 4.0, 6.0)),
-                                readout=sim.LevelReadoutError(0.01, 0.02))
+        noise = sim.NoiseConfig(spam=THERMAL_SPAM)
         protocol = protocols.qst_two_level(3)
-        model = recon.build_measurement_model(protocol, spam=noise.spam_model(3))
+        model = recon.build_measurement_model(protocol, spam=THERMAL_SPAM)
         truth = qcore.depolarize(
             qcore.projector(qcore.haar_state(3, qcore.make_rng(21))), 0.3)
         want = np.stack([sim.circuit_probabilities(c, truth, noise, check=False)
@@ -103,15 +106,14 @@ class TestMeasurementModel:
         # Schrodinger-picture reference, circuit by circuit
         rng = qcore.make_rng(23, f"oracle-{dim}-{truth_kind}-{spam}")
         if spam == "gibbs-cascade":
-            noise = sim.NoiseConfig(
-                gate_depol_p=gate_depol_p,
-                init=sim.GibbsInit(1.0, tuple(np.linspace(0.0, 6.0, dim))),
-                readout=sim.LevelReadoutError(0.01, 0.02))
+            model = readout.gibbs_cascade_model(
+                dim, 1.0, np.linspace(0.0, 6.0, dim), 0.01, 0.02)
         else:
             a = rng.uniform(0.05, 1.0, size=dim)
             b = rng.uniform(0.05, 1.0, size=(dim, dim))
-            noise = sim.NoiseConfig(gate_depol_p=gate_depol_p, init=a / a.sum(),
-                                    readout=b / b.sum(axis=0, keepdims=True))
+            model = readout.DiagonalSpamModel(a / a.sum(),
+                                              b / b.sum(axis=0, keepdims=True))
+        noise = sim.NoiseConfig(gate_depol_p=gate_depol_p, spam=model)
         if truth_kind == "state":
             circuits = (protocols.qst_two_level(dim).circuits
                         + protocols.mub_protocol(dim).circuits[1:])
@@ -518,9 +520,7 @@ class TestMleProcess:
         assert np.isfinite(report.max_residual)
 
     def test_true_spam_model_beats_ideal_model_on_noisy_data(self):
-        noise = sim.NoiseConfig(gate_depol_p=0.001,
-                                init=sim.GibbsInit(1.0, (0.0, 4.0, 6.0)),
-                                readout=sim.LevelReadoutError(0.01, 0.02))
+        noise = sim.NoiseConfig(gate_depol_p=0.001, spam=THERMAL_SPAM)
         protocol = protocols.qpt_two_level(3)
         rng = qcore.make_rng(51)
         truth = qcore.choi_depolarize(
@@ -528,7 +528,7 @@ class TestMleProcess:
         data = sim.run_protocol(protocol, truth, noise, 10 ** 6, seed=51)
         ideal = recon.mle_process(data, recon.build_measurement_model(protocol))
         informed = recon.mle_process(
-            data, recon.build_measurement_model(protocol, spam=noise.spam_model(3)))
+            data, recon.build_measurement_model(protocol, spam=THERMAL_SPAM))
         infid_ideal = 1.0 - qcore.process_fidelity(ideal.estimate, truth)
         infid_true = 1.0 - qcore.process_fidelity(informed.estimate, truth)
         assert infid_true < infid_ideal
@@ -612,9 +612,8 @@ OMEGAS = {2: (0.0, 4.0), 3: (0.0, 4.0, 6.0), 5: (0.0, 4.0, 6.0, 7.0, 8.0)}
 
 
 def calibration_noise(dim):
-    return sim.NoiseConfig(gate_depol_p=0.001,
-                           init=sim.GibbsInit(1.0, OMEGAS[dim]),
-                           readout=sim.LevelReadoutError(0.01, 0.02))
+    spam = readout.gibbs_cascade_model(dim, 1.0, OMEGAS[dim], 0.01, 0.02)
+    return sim.NoiseConfig(gate_depol_p=0.001, spam=spam)
 
 
 def exact_calibration(dim, shots=10 ** 6):
@@ -663,9 +662,7 @@ class TestSpamGeneral:
         assert np.max(np.abs(report.estimate.response - np.eye(3))) < 1e-3
 
     def test_noisy_scenario_predicts_probabilities(self):
-        noise = sim.NoiseConfig(gate_depol_p=0.001,
-                                init=sim.GibbsInit(1.0, (0.0, 4.0, 6.0)),
-                                readout=sim.LevelReadoutError(0.01, 0.02))
+        noise = sim.NoiseConfig(gate_depol_p=0.001, spam=THERMAL_SPAM)
         circuits = protocols.spam_calibration_circuits(3)
         data = sim.run_protocol(circuits, None, noise, 10 ** 6, seed=70)
         report = recon.estimate_spam_general(data, gate_depol_p=0.001)
@@ -682,12 +679,10 @@ class TestSpamGeneral:
     def test_likelihood_is_flat_along_the_gauge(self):
         # moving depolarizing weight between preparation and readout
         # leaves the calibration likelihood unchanged
-        noise = sim.NoiseConfig(gate_depol_p=0.001,
-                                init=sim.GibbsInit(1.0, (0.0, 4.0, 6.0)),
-                                readout=sim.LevelReadoutError(0.01, 0.02))
+        noise = sim.NoiseConfig(gate_depol_p=0.001, spam=THERMAL_SPAM)
         circuits = protocols.spam_calibration_circuits(3)
         data = sim.run_protocol(circuits, None, noise, 10 ** 6, seed=71)
-        truth = noise.spam_model(3)
+        truth = THERMAL_SPAM
         moved = readout.gauge_transform(truth, 0.9 * 3 * truth.populations.min())
 
         def loglik(model):
@@ -731,7 +726,7 @@ class TestSpamGeneral:
         assert report.diagnostics["branch"] == "closed_form"
         assert np.max(np.abs(calibration_probs(fit, 0.001, dim) - probs)) <= 1e-9
         # the truth reproduces the data as well, so it bounds the maximum
-        truth = calibration_noise(dim).spam_model(dim)
+        truth = calibration_noise(dim).spam
         assert np.trace(fit.response) >= np.trace(truth.response) - 1e-12
         # no feasible neighbour in the flat set has a larger trace
         rng = qcore.make_rng(92)
@@ -817,13 +812,10 @@ def gibbs_grid_oracle(counts, omegas):
 
 class TestSpamGibbs:
     def test_exact_click_probabilities_recover_parameters(self):
-        noise = sim.NoiseConfig(init=sim.GibbsInit(1.0, (0.0, 4.0, 6.0)),
-                                readout=sim.LevelReadoutError(0.01, 0.02))
-        clicks = noise.level_clicks(3)
         shots = 10 ** 6
         counts = np.empty((3, 2))
         for j in range(3):
-            p = float(clicks[j])
+            p = float(THERMAL_CLICKS[j])
             counts[j] = ((1 - p) * shots, p * shots)
         data = sim.CountsDataset(("read0", "read1", "read2"),
                                  np.full(3, float(shots)), counts)
@@ -835,17 +827,15 @@ class TestSpamGibbs:
         assert 1 <= report.iterations <= report.diagnostics["evaluations"]
 
     def test_sampled_run_lands_near_truth(self):
-        noise = sim.NoiseConfig(init=sim.GibbsInit(1.0, (0.0, 4.0, 6.0)),
-                                readout=sim.LevelReadoutError(0.01, 0.02))
-        reads = sim.simulate_level_reads(3, noise, 10 ** 6, seed=72)
+        reads = sim.simulate_level_reads(THERMAL_CLICKS, 10 ** 6, seed=72)
         report = recon.estimate_spam_gibbs(reads, np.array([0.0, 4.0, 6.0]))
         assert abs(report.estimate["temperature"] - 1.0) <= 0.05
         assert abs(report.estimate["b0"] - 0.01) <= 0.005
         assert abs(report.estimate["b1"] - 0.02) <= 0.005
 
     def test_noiseless_boundary_solution(self):
-        noise = sim.NoiseConfig(init=sim.GibbsInit(0.5, (0.0, 4.0, 6.0)))
-        clicks = noise.level_clicks(3)
+        # perfect reads click exactly on the populated levels
+        clicks = readout.gibbs_populations(0.5, np.array([0.0, 4.0, 6.0]))
         shots = 10 ** 6
         counts = np.empty((3, 2))
         for j in range(3):
@@ -858,9 +848,7 @@ class TestSpamGibbs:
         assert report.estimate["b1"] <= 1e-4
 
     def test_level_read_with_zero_clicks(self):
-        noise = sim.NoiseConfig(init=sim.GibbsInit(1.0, (0.0, 4.0, 6.0)),
-                                readout=sim.LevelReadoutError(0.01, 0.02))
-        reads = sim.simulate_level_reads(3, noise, 10 ** 4, seed=74)
+        reads = sim.simulate_level_reads(THERMAL_CLICKS, 10 ** 4, seed=74)
         counts = np.asarray(reads.counts, dtype=float)
         counts[2] = (counts[2].sum(), 0.0)
         data = sim.CountsDataset(reads.labels, reads.shots, counts)
@@ -871,9 +859,7 @@ class TestSpamGibbs:
         assert report.log_likelihood >= gibbs_grid_oracle(counts, (0.0, 4.0, 6.0)) - 1e-9
 
     def test_beats_a_dense_grid_oracle(self):
-        noise = sim.NoiseConfig(init=sim.GibbsInit(1.0, (0.0, 4.0, 6.0)),
-                                readout=sim.LevelReadoutError(0.01, 0.02))
-        reads = sim.simulate_level_reads(3, noise, 10 ** 4, seed=75)
+        reads = sim.simulate_level_reads(THERMAL_CLICKS, 10 ** 4, seed=75)
         report = recon.estimate_spam_gibbs(reads, np.array([0.0, 4.0, 6.0]))
         oracle = gibbs_grid_oracle(np.asarray(reads.counts, dtype=float),
                                    (0.0, 4.0, 6.0))

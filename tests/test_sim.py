@@ -13,25 +13,32 @@ def single_gate_circuit(dim, gate, label="c"):
                               GateSequence(dim, (gate,)))
 
 
+# thermal initialization (T = 1) and cascade readout (b0 = 0.01, b1 = 0.02)
+THERMAL_SPAM = readout.gibbs_cascade_model(3, 1.0, (0.0, 4.0, 6.0), 0.01, 0.02)
+
+
 def random_noise_config(rng, dim):
-    init = None
+    """One of nine SPAM kinds: populations of |0>, thermal or random, each
+    with projective, cascade or random readout, plus random gate noise."""
+    a = np.eye(dim)[0]
     roll = rng.integers(3)
     if roll == 1:
-        init = sim.GibbsInit(float(rng.uniform(0.2, 5.0)),
-                             tuple(np.sort(rng.uniform(0, 6, size=dim))))
+        a = readout.gibbs_populations(float(rng.uniform(0.2, 5.0)),
+                                      np.sort(rng.uniform(0, 6, size=dim)))
     elif roll == 2:
         a = rng.uniform(0.05, 1.0, size=dim)
-        init = a / a.sum()
-    readout_model = None
+        a = a / a.sum()
+    b = np.eye(dim)
     roll = rng.integers(3)
     if roll == 1:
-        readout_model = sim.LevelReadoutError(float(rng.uniform(0, 0.2)),
-                                              float(rng.uniform(0, 0.2)))
+        reads = readout.level_reads(dim, float(rng.uniform(0, 0.2)),
+                                    float(rng.uniform(0, 0.2)))
+        b = readout.cascade_response(reads[1:])
     elif roll == 2:
         b = rng.uniform(0.05, 1.0, size=(dim, dim))
-        readout_model = b / b.sum(axis=0, keepdims=True)
+        b = b / b.sum(axis=0, keepdims=True)
     return sim.NoiseConfig(gate_depol_p=float(rng.uniform(0, 0.05)),
-                           init=init, readout=readout_model)
+                           spam=readout.DiagonalSpamModel(a, b))
 
 
 class TestPrepState:
@@ -86,12 +93,11 @@ class TestCircuitProbabilities:
 
     def test_calibration_probabilities_match_matrix_oracle(self):
         # bare circuit: p = B a with thermal populations a and cascade rows B
-        noise = sim.NoiseConfig(init=sim.GibbsInit(1.0, (0.0, 4.0, 6.0)),
-                                readout=sim.LevelReadoutError(0.01, 0.02))
+        noise = sim.NoiseConfig(spam=THERMAL_SPAM)
         circuit = protocols.spam_calibration_circuits(3)[0]
         p = sim.circuit_probabilities(circuit, None, noise)
         a = readout.gibbs_populations(1.0, np.array([0.0, 4.0, 6.0]))
-        b = noise.spam_model(3).response
+        b = THERMAL_SPAM.response
         assert np.max(np.abs(p - b @ a)) < 1e-12
 
     def test_depolarizing_placement_is_irrelevant(self):
@@ -212,8 +218,7 @@ class TestRunProtocol:
 
     def test_accepts_plain_circuit_lists(self):
         circuits = protocols.spam_calibration_circuits(3)
-        noise = sim.NoiseConfig(init=sim.GibbsInit(1.0, (0.0, 4.0, 6.0)),
-                                readout=sim.LevelReadoutError(0.01, 0.02))
+        noise = sim.NoiseConfig(spam=THERMAL_SPAM)
         data = sim.run_protocol(circuits, None, noise, 3_000, seed=7)
         assert data.labels == ("bare", "flip(0,1)", "flip(0,2)")
         assert data.counts.shape == (3, 3)
@@ -230,62 +235,53 @@ class TestRunProtocol:
 
 class TestSpamModel:
     @pytest.mark.parametrize("dim", [2, 3, 5])
-    def test_truth_is_the_gibbs_cascade_model(self, dim):
-        omegas = tuple(2.0 * np.arange(dim))
-        noise = sim.NoiseConfig(init=sim.GibbsInit(1.3, omegas),
-                                readout=sim.LevelReadoutError(0.01, 0.02))
-        got = noise.spam_model(dim)
-        want = readout.gibbs_cascade_model(dim, 1.3, np.asarray(omegas), 0.01, 0.02)
-        assert np.array_equal(got.populations, want.populations)
-        assert np.array_equal(got.response, want.response)
+    def test_no_spam_is_ideal(self, dim):
+        got = sim.NoiseConfig().spam_model(dim)
+        assert np.array_equal(got.populations, np.eye(dim)[0])
+        assert np.array_equal(got.response, np.eye(dim))
 
-    @pytest.mark.parametrize("dim", [2, 3, 5])
-    def test_level_clicks_match_the_gibbs_read_model(self, dim):
-        omegas = tuple(2.0 * np.arange(dim))
-        b0, b1 = 0.01, 0.02
-        noise = sim.NoiseConfig(init=sim.GibbsInit(1.3, omegas),
-                                readout=sim.LevelReadoutError(b0, b1))
-        a = readout.gibbs_populations(1.3, np.asarray(omegas))
-        want = (1.0 - b0) * a + b1 * (1.0 - a)
-        assert np.max(np.abs(noise.level_clicks(dim) - want)) <= 1e-15
+    def test_configured_spam_is_used_as_given(self):
+        assert sim.NoiseConfig(spam=THERMAL_SPAM).spam_model(3) is THERMAL_SPAM
 
-    def test_rejects_invalid_explicit_populations(self):
-        with pytest.raises(ValueError):
-            sim.NoiseConfig(init=np.array([0.7, 0.4]))
-        with pytest.raises(ValueError):
-            sim.NoiseConfig(init=np.array([1.1, -0.1]))
+    def test_mismatched_dimension_names_both(self):
+        # a qubit SPAM model used with qutrit circuits
+        spam = readout.gibbs_cascade_model(2, 1.0, (0.0, 4.0), 0.01, 0.02)
+        noise = sim.NoiseConfig(spam=spam)
+        protocol = protocols.qst_two_level(3)
+        match = r"dimension 2 != circuit dimension 3"
+        with pytest.raises(ValueError, match=match):
+            sim.run_protocol(protocol, np.eye(3) / 3, noise, 1_000, seed=0)
+        with pytest.raises(ValueError, match=match):
+            sim.circuit_probabilities(protocol.circuits[0], np.eye(3) / 3, noise)
+        with pytest.raises(ValueError, match=match):
+            sim.circuit_probabilities(protocol.circuits[0], None, noise)
 
-    def test_rejects_invalid_explicit_response(self):
+    def test_rejects_invalid_settings(self):
         with pytest.raises(ValueError):
-            sim.NoiseConfig(readout=[[0.5, 0.5], [0.6, 0.5]])
+            sim.NoiseConfig(gate_depol_p=1.5)
         with pytest.raises(ValueError):
-            sim.NoiseConfig(readout=[[1.1, 0.0], [-0.1, 1.0]])
-        with pytest.raises(ValueError):
-            sim.NoiseConfig(readout=np.full((2, 3), 0.5))
+            sim.NoiseConfig(gate_depol_p=-0.1)
+        with pytest.raises(TypeError):
+            sim.NoiseConfig(spam=np.eye(3))
 
 
 class TestLevelReads:
     def test_click_statistics_match_the_effect(self):
-        noise = sim.NoiseConfig(init=sim.GibbsInit(1.0, (0.0, 4.0, 6.0)),
-                                readout=sim.LevelReadoutError(0.01, 0.02))
-        data = sim.simulate_level_reads(3, noise, 3 * 10 ** 6, seed=11)
+        a = THERMAL_SPAM.populations
+        clicks = readout.level_reads(3, 0.01, 0.02) @ a
+        data = sim.simulate_level_reads(clicks, 3 * 10 ** 6, seed=11)
         assert data.counts.shape == (3, 2)
-        a = noise.spam_model(3).populations
+        assert data.labels == ("read0", "read1", "read2")
         for j in range(3):
             want = (1 - 0.01) * a[j] + 0.02 * (1 - a[j])
             got = data.counts[j, 1] / data.shots[j]
             assert abs(got - want) < 5 * np.sqrt(want * (1 - want) / data.shots[j])
 
     def test_deterministic_under_seed(self):
-        noise = sim.NoiseConfig(readout=sim.LevelReadoutError(0.05, 0.01))
-        a = sim.simulate_level_reads(3, noise, 1_000, seed=5)
-        b = sim.simulate_level_reads(3, noise, 1_000, seed=5)
+        clicks = readout.level_reads(3, 0.05, 0.01) @ np.eye(3)[0]
+        a = sim.simulate_level_reads(clicks, 1_000, seed=5)
+        b = sim.simulate_level_reads(clicks, 1_000, seed=5)
         assert np.array_equal(a.counts, b.counts)
-
-    def test_rejects_explicit_response_matrices(self):
-        noise = sim.NoiseConfig(readout=np.eye(3))
-        with pytest.raises(ValueError):
-            sim.simulate_level_reads(3, noise, 1_000, seed=0)
 
 
 class TestGaugeEndToEnd:
@@ -295,10 +291,8 @@ class TestGaugeEndToEnd:
                                             0.01, 0.02)
         moved = readout.gauge_transform(model, 0.9 * 3 * model.populations.min())
         circuits = protocols.qst_two_level(3).circuits
-        noise_a = sim.NoiseConfig(gate_depol_p=0.001, init=model.populations,
-                                  readout=model.response)
-        noise_b = sim.NoiseConfig(gate_depol_p=0.001, init=moved.populations,
-                                  readout=moved.response)
+        noise_a = sim.NoiseConfig(gate_depol_p=0.001, spam=model)
+        noise_b = sim.NoiseConfig(gate_depol_p=0.001, spam=moved)
         data_a = sim.run_protocol(circuits, None, noise_a, 50_000, seed=19)
         data_b = sim.run_protocol(circuits, None, noise_b, 50_000, seed=19)
         assert np.array_equal(data_a.counts, data_b.counts)
