@@ -280,8 +280,9 @@ def _qpt_trial(config, trial, noise, clicks):
         for label, model in models:
             report = recon.mle_process(data, model)
             if not report.converged:
-                raise NumericalError(f"process fit ran out of iterations "
-                                     f"(label={label}, N={n_shots}, trial={trial})")
+                raise NumericalError(
+                    f"process fit did not converge ({report.diagnostics['stop_reason']}, "
+                    f"label={label}, N={n_shots}, trial={trial})")
             rows.append(("qpt_models", label, dim, n_shots, trial,
                          1.0 - qcore.process_fidelity(report.estimate, truth)))
     return rows

@@ -75,7 +75,7 @@ def gibbs_populations(temperature, omegas):
     return w / w.sum()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalSpamModel:
     """Diagonal preparation-and-readout error model.
 
@@ -85,6 +85,8 @@ class DiagonalSpamModel:
     The constructor's checks (entries >= -1e-12, column sums within 1e-10
     of 1) lie inside the tolerances of `qcore.check_povm`, so `povm`
     builds its diagonal effects without re-checking them.
+    Equality and hashing are by identity: the fields are arrays, whose
+    elementwise `==` has no single truth value.
     """
 
     populations: np.ndarray

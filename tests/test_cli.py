@@ -9,11 +9,12 @@ is echoed into the file.
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qudittomo import cli, readout
+from qudittomo import cli, readout, recon
 
 
 def run_main(argv):
@@ -90,6 +91,24 @@ def test_parallel_run_matches_sequential(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.WORKERS_ENV, "2")
     assert run_main(argv) == 0
     assert out.read_bytes() == sequential
+
+
+def test_qpt_models_rerun_and_parallel_run_are_byte_identical(tmp_path,
+                                                              monkeypatch):
+    out = tmp_path / "qpt.csv"
+    argv = ["qpt-models", "--grid", "300", "--trials", "2",
+            "--seed", "10", "--out", str(out)]
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    assert run_main(argv) == 0
+    first = out.read_bytes()
+    first_summary = cli.summary_path(out).read_bytes()
+    assert run_main(argv) == 0
+    assert out.read_bytes() == first
+    assert cli.summary_path(out).read_bytes() == first_summary
+    monkeypatch.setenv(cli.WORKERS_ENV, "2")
+    assert run_main(argv) == 0
+    assert out.read_bytes() == first
+    assert cli.summary_path(out).read_bytes() == first_summary
 
 
 def test_qpt_models_end_to_end(tmp_path):
@@ -255,6 +274,20 @@ def test_numerical_failure_exits_with_code_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_qst_compare", explode)
     assert run_main(["qst-compare", "--out", str(tmp_path / "x.csv")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reason", ["stalled", "max_iter"])
+def test_unconverged_process_fit_exits_with_code_3(tmp_path, monkeypatch, capsys,
+                                                   reason):
+    def unconverged(data, model):
+        return SimpleNamespace(converged=False,
+                               diagnostics={"stop_reason": reason})
+
+    monkeypatch.setattr(recon, "mle_process", unconverged)
+    assert run_main(["qpt-models", "--grid", "300", "--trials", "1",
+                     "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "process fit did not converge" in err and f"({reason}," in err
 
 
 def test_config_validation_direct():

@@ -496,11 +496,53 @@ class TestMleProcess:
             0.05)
         data = sim.run_protocol(protocol, truth, sim.NoiseConfig(), shots, seed=seed)
         report = recon.mle_process(data, model)
-        tight = recon.mle_process(data, model, tol=1e-13)
+        tight = recon.mle_process(data, model, tol=1e-3)
         gap = report.diagnostics["gap_bound"]
         assert gap is not None and gap <= 1e-4 * data.counts.sum()
         assert tight.log_likelihood - report.log_likelihood <= gap
         assert tight.diagnostics["gap_bound"] <= gap
+
+    @pytest.mark.parametrize("dim,shots,seed,tol", [(2, 5_000, 56, 0.5),
+                                                    (3, 10 ** 6, 57, 0.5),
+                                                    (3, 100_000, 58, 0.05)])
+    def test_tol_stop_certifies_its_gap(self, dim, shots, seed, tol):
+        protocol = protocols.qpt_two_level(dim)
+        model = recon.build_measurement_model(protocol)
+        truth = qcore.choi_depolarize(
+            qcore.choi_from_unitary(qcore.haar_unitary(dim, qcore.make_rng(seed))),
+            0.02)
+        data = sim.run_protocol(protocol, truth, sim.NoiseConfig(), shots, seed=seed)
+        report = recon.mle_process(data, model, tol=tol)
+        gap = report.diagnostics["gap_bound"]
+        assert report.diagnostics["stop_reason"] == "tol" and report.converged
+        assert gap is not None and gap <= tol
+        refit = recon.mle_process(data, model, tol=1e-3)
+        assert refit.log_likelihood - report.log_likelihood <= gap
+
+    def test_d5_fit_certifies_and_is_cptp(self):
+        protocol = protocols.qpt_two_level(5)
+        model = recon.build_measurement_model(protocol)
+        truth = qcore.choi_depolarize(
+            qcore.choi_from_unitary(qcore.haar_unitary(5, qcore.make_rng(59))),
+            0.02)
+        data = sim.run_protocol(protocol, truth, sim.NoiseConfig(), 100_000, seed=59)
+        report = recon.mle_process(data, model)
+        diag = report.diagnostics
+        assert diag["stop_reason"] == "tol" and report.converged
+        assert diag["gap_bound"] is not None and diag["gap_bound"] <= 0.5
+        assert diag["tp_residual"] <= 1e-12
+        assert diag["min_eigenvalue"] >= -1e-12
+
+    def test_stall_is_not_converged(self, monkeypatch):
+        # a projection that gives no usable point fails every step test
+        protocol = protocols.qpt_two_level(2)
+        model = recon.build_measurement_model(protocol)
+        truth = qcore.choi_from_unitary(qcore.haar_unitary(2, qcore.make_rng(52)))
+        data = sim.run_protocol(protocol, truth, sim.NoiseConfig(), 2_000, seed=52)
+        monkeypatch.setattr(recon, "project_cptp", lambda g: np.full_like(g, np.nan))
+        report = recon.mle_process(data, model)
+        assert report.diagnostics["stop_reason"] == "stalled"
+        assert not report.converged and report.iterations == 1
 
     @pytest.mark.parametrize("dim,shots,unmeasured", [(2, 7, 5), (3, 40, 23)])
     def test_circuits_without_shots_leave_a_feasible_fit(self, dim, shots,

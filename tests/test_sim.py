@@ -256,6 +256,15 @@ class TestSpamModel:
         with pytest.raises(ValueError, match=match):
             sim.circuit_probabilities(protocol.circuits[0], None, noise)
 
+    def test_models_and_configs_compare_by_identity(self):
+        spam, twin = readout.ideal_spam_model(3), readout.ideal_spam_model(3)
+        assert spam == spam and spam != twin
+        assert hash(spam) == hash(spam)
+        noise = sim.NoiseConfig(spam=spam)
+        assert noise == sim.NoiseConfig(spam=spam)
+        assert noise != sim.NoiseConfig(spam=twin)
+        assert hash(noise) == hash(sim.NoiseConfig(spam=spam))
+
     def test_rejects_invalid_settings(self):
         with pytest.raises(ValueError):
             sim.NoiseConfig(gate_depol_p=1.5)
