@@ -17,6 +17,7 @@ identical.  Set QUDITTOMO_MAX_WORKERS to run trials in parallel.
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -192,6 +193,17 @@ def _sorted_rows(chunks):
     return sorted(rows, key=lambda r: (r[1], r[3], r[4]))
 
 
+@functools.cache
+def _ideal_model(protocol):
+    """The ideal-SPAM fit model of `protocol`, built once per protocol.
+
+    Every caller shares the model, so its operators are read-only.
+    """
+    model = recon.build_measurement_model(protocol)
+    model.operators.flags.writeable = False
+    return model
+
+
 def _qst_point(config, n_shots, trial, noise):
     """One grid point: a fresh random state measured under both protocols.
 
@@ -202,12 +214,14 @@ def _qst_point(config, n_shots, trial, noise):
     truth = qcore.depolarize(qcore.projector(qcore.haar_state(dim, rng)),
                              config.truth_depol_p)
     rows = []
+    # both protocols are cached by dimension; every point still asks for
+    # them, which is where perfbench/tracing.py opens a trial
     for label, protocol in (("2-level", protocols.qst_two_level(dim)),
                             ("MUB", protocols.mub_protocol(dim))):
         data = sim.run_protocol(
             protocol, truth, noise, n_shots,
             seed=qcore.derive_seed(seed, f"qst-counts-{label}-{n_shots}", trial))
-        model = recon.build_measurement_model(protocol)
+        model = _ideal_model(protocol)
         # Truth states here are near pure, where the full-rank maximizer
         # spills weight onto spurious eigenvectors at small N; a rank-1
         # fit kept unless the likelihood ratio rejects it removes that

@@ -25,6 +25,7 @@ design matrix of the reconstruction's measurement model
 that the simulator and the fits use.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,12 +94,14 @@ def _empty(dim):
     return GateSequence(dim)
 
 
+@functools.cache
 def qst_two_level(dim):
     """State tomography from two-level rotations.
 
     Circuit 0 reads the computational basis with no gates at all; then one
     R_y(pi/2) circuit per level pair and one R_x(3pi/2) circuit per level
-    pair, 1 + d(d-1) circuits of at most one gate.
+    pair, 1 + d(d-1) circuits of at most one gate.  The protocol is built
+    once per dimension and shared; it is frozen.
     """
     if dim < 2:
         raise ValueError(f"dimension must be at least 2, got {dim}")
@@ -230,13 +233,15 @@ def mub_gate_compile(u):
     return GateSequence(dim, tuple(gates))
 
 
+@functools.cache
 def mub_protocol(dim):
     """State tomography over all d + 1 mutually unbiased bases.
 
     The basis change applied to the state is the adjoint of the basis
     unitary, compiled into two-level gates so that simulated gate noise
     acts on every compiled rotation.  Circuit 0 (computational basis)
-    stays empty.
+    stays empty.  The protocol is built once per dimension and shared; it
+    is frozen.
     """
     circuits = []
     for idx, v in enumerate(mub_bases(dim)):

@@ -482,7 +482,11 @@ class TestMleProcess:
         # the identity channel leaves zero-probability outcomes, which the
         # fit drives onto PROB_FLOOR, so the bound does not apply
         assert diag["gap_bound"] is None
-        short = recon.mle_process(data, model, max_iter=3)
+        # on exact data the least-squares start is already the answer, so
+        # the iteration cap is checked on sampled data
+        sampled = sim.run_protocol(protocol, qcore.choi_depolarize(truth, 0.05),
+                                   sim.NoiseConfig(), 10 ** 5, seed=56)
+        short = recon.mle_process(sampled, model, max_iter=3)
         assert short.diagnostics["stop_reason"] == "max_iter"
         assert not short.converged and short.iterations == 3
 
@@ -539,7 +543,15 @@ class TestMleProcess:
         model = recon.build_measurement_model(protocol)
         truth = qcore.choi_from_unitary(qcore.haar_unitary(2, qcore.make_rng(52)))
         data = sim.run_protocol(protocol, truth, sim.NoiseConfig(), 2_000, seed=52)
-        monkeypatch.setattr(recon, "project_cptp", lambda g: np.full_like(g, np.nan))
+        # the first projection (the start) is real, every later one fails
+        project = recon.project_cptp
+        calls = []
+
+        def failing(g):
+            calls.append(g)
+            return project(g) if len(calls) == 1 else np.full_like(g, np.nan)
+
+        monkeypatch.setattr(recon, "project_cptp", failing)
         report = recon.mle_process(data, model)
         assert report.diagnostics["stop_reason"] == "stalled"
         assert not report.converged and report.iterations == 1
@@ -560,6 +572,25 @@ class TestMleProcess:
         assert diag["tp_residual"] <= 1e-12
         assert diag["min_eigenvalue"] >= -1e-12
         assert np.isfinite(report.max_residual)
+
+    @pytest.mark.parametrize("dim,shots,seed,depol", [
+        (2, 2_000, 61, 0.02), (3, 100_000, 61, 0.02), (5, 100_000, 61, 0.02),
+        # the datasets of test_circuits_without_shots_leave_a_feasible_fit
+        (2, 7, 55, 0.05), (3, 40, 55, 0.05)])
+    def test_least_squares_start_is_cptp_and_off_the_floor(self, dim, shots,
+                                                            seed, depol):
+        protocol = protocols.qpt_two_level(dim)
+        model = recon.build_measurement_model(protocol)
+        truth = qcore.choi_depolarize(
+            qcore.choi_from_unitary(qcore.haar_unitary(dim, qcore.make_rng(seed))),
+            depol)
+        data = sim.run_protocol(protocol, truth, sim.NoiseConfig(), shots, seed=seed)
+        start = recon._process_start(data, model)
+        assert np.max(np.abs(start - qcore.dagger(start))) <= 1e-12
+        assert np.linalg.eigvalsh(start)[0] >= -1e-12
+        tp = qcore.choi_output_trace(start)
+        assert np.max(np.abs(tp - np.eye(dim))) <= 1e-12
+        assert model.probabilities(start).min() > recon.PROB_FLOOR
 
     def test_true_spam_model_beats_ideal_model_on_noisy_data(self):
         noise = sim.NoiseConfig(gate_depol_p=0.001, spam=THERMAL_SPAM)
@@ -906,6 +937,41 @@ class TestSpamGibbs:
         oracle = gibbs_grid_oracle(np.asarray(reads.counts, dtype=float),
                                    (0.0, 4.0, 6.0))
         assert report.log_likelihood >= oracle - 1e-9
+
+    @pytest.mark.parametrize("dataset,corner", [("sampled", False),
+                                                ("boundary", False),
+                                                ("sampled", True)])
+    def test_batched_rate_fit_matches_rows_and_meets_kkt(self, dataset, corner):
+        if dataset == "sampled":
+            counts = np.asarray(sim.simulate_level_reads(
+                THERMAL_CLICKS, 10 ** 6, seed=72).counts, dtype=float)
+        else:
+            # the noiseless reads of test_noiseless_boundary_solution
+            perfect = readout.gibbs_populations(0.5, np.array([0.0, 4.0, 6.0]))
+            counts = np.stack([1.0 - perfect, perfect], axis=1) * 10 ** 6
+        dark, clicks = counts[:, 0], counts[:, 1]
+        pops = np.stack([readout.gibbs_populations(t, np.array([0.0, 4.0, 6.0]))
+                         for t in np.geomspace(1e-6, 100.0, 41)])
+        # from the corner (0, 0) the cold rows start where the data are
+        # impossible, and move to the middle of the box
+        start = np.full((len(pops), 2), 0.0 if corner else 0.25)
+        rates, ll, iterations, converged = recon._fit_rates(dark, clicks, pops, start)
+        assert converged.all() and iterations.min() >= 1
+        for r in range(len(pops)):
+            one = recon._fit_rates(dark, clicks, pops[r:r + 1], start[r:r + 1])
+            assert np.array_equal(one[0][0], rates[r]) and one[1][0] == ll[r]
+            assert one[2][0] == iterations[r]
+        # box KKT conditions of the per-shot likelihood: the gradient
+        # vanishes on a free rate and points outward on a rate at a bound
+        p = (1.0 - rates[:, :1]) * pops + rates[:, 1:] * (1.0 - pops)
+        w = clicks / p - dark / (1.0 - p)
+        grad = np.stack([-(w * pops).sum(axis=1), (w * (1.0 - pops)).sum(axis=1)],
+                        axis=1) / counts.sum()
+        assert ((rates >= 0.0) & (rates <= recon.RATE_MAX)).all()
+        violation = np.where(rates <= 0.0, np.maximum(grad, 0.0),
+                             np.where(rates >= recon.RATE_MAX,
+                                      np.maximum(-grad, 0.0), np.abs(grad)))
+        assert violation.max() <= 1e-7
 
     def test_rejects_empty_data(self):
         zero = sim.CountsDataset(("read0", "read1", "read2"),
