@@ -204,6 +204,14 @@ def _ideal_model(protocol):
     return model
 
 
+def _require_converged(report, fit, label, n_shots, trial):
+    """Raise NumericalError unless the `fit` report of (label, N, trial) converged."""
+    if not report.converged:
+        raise NumericalError(
+            f"{fit} fit did not converge ({report.diagnostics['stop_reason']}, "
+            f"label={label}, N={n_shots}, trial={trial})")
+
+
 def _qst_point(config, n_shots, trial, noise):
     """One grid point: a fresh random state measured under both protocols.
 
@@ -232,10 +240,7 @@ def _qst_point(config, n_shots, trial, noise):
         pure = recon.mle_state_pure(data, model)
         full = recon.mle_state(data, model, pure=pure)
         report = recon.select_rank(full, pure)
-        if not report.converged:
-            raise NumericalError(
-                f"state fit did not converge ({report.diagnostics['stop_reason']}, "
-                f"label={label}, N={n_shots}, trial={trial})")
+        _require_converged(report, "state", label, n_shots, trial)
         rows.append(("qst_compare", label, dim, n_shots, trial,
                      qcore.infidelity(report.estimate, truth, check=False)))
     return rows
@@ -264,26 +269,25 @@ def _qpt_trial(config, trial, noise, clicks):
     truth = qcore.choi_depolarize(
         qcore.choi_from_unitary(qcore.haar_unitary(dim, rng)),
         config.truth_depol_p)
+    # the protocol is cached by dimension; every trial still asks for
+    # it first, which is where perfbench/tracing.py opens a trial
     protocol = protocols.qpt_two_level(dim)
-    omegas = np.asarray(config.omegas)
-
-    calibration = sim.run_protocol(
-        protocols.spam_calibration_circuits(dim), None, noise,
-        config.calibration_shots,
-        seed=qcore.derive_seed(seed, "qpt-calibration", trial))
-    general = recon.estimate_spam_general(calibration,
-                                          gate_depol_p=noise.gate_depol_p)
-    reads = sim.simulate_level_reads(
-        clicks, config.calibration_shots,
-        seed=qcore.derive_seed(seed, "qpt-level-reads", trial))
-    gibbs = recon.estimate_spam_gibbs(reads, omegas).estimate
-
+    general, gibbs = _calibrate(config, noise, clicks, "qpt-calibration",
+                                "qpt-level-reads", trial)
+    _require_converged(general, "general calibration", "SPAM errors model 1",
+                       config.calibration_shots, trial)
+    _require_converged(gibbs, "thermal calibration", "SPAM errors model 2",
+                       config.calibration_shots, trial)
+    thermal = gibbs.estimate
     spams = (("Ideal model", None),
              ("True model", noise.spam),
              ("SPAM errors model 1", general.estimate),
              ("SPAM errors model 2", readout.gibbs_cascade_model(
-                 dim, gibbs["temperature"], omegas, gibbs["b0"], gibbs["b1"])))
-    models = [(label, recon.build_measurement_model(protocol, spam=spam))
+                 dim, thermal["temperature"], config.omegas, thermal["b0"],
+                 thermal["b1"])))
+    # only the Ideal model is cached: a SPAM model compares by identity
+    models = [(label, _ideal_model(protocol) if spam is None
+               else recon.build_measurement_model(protocol, spam=spam))
               for label, spam in spams]
 
     rows = []
@@ -293,13 +297,28 @@ def _qpt_trial(config, trial, noise, clicks):
             seed=qcore.derive_seed(seed, f"qpt-counts-{n_shots}", trial))
         for label, model in models:
             report = recon.mle_process(data, model)
-            if not report.converged:
-                raise NumericalError(
-                    f"process fit did not converge ({report.diagnostics['stop_reason']}, "
-                    f"label={label}, N={n_shots}, trial={trial})")
+            _require_converged(report, "process", label, n_shots, trial)
             rows.append(("qpt_models", label, dim, n_shots, trial,
                          1.0 - qcore.process_fidelity(report.estimate, truth)))
     return rows
+
+
+def _calibrate(config, noise, clicks, calibration_label, reads_label, trial=0):
+    """Reports of the general and thermal calibration fits, converged or not.
+
+    Their data are drawn from the streams (seed, `calibration_label`,
+    trial) and (seed, `reads_label`, trial).
+    """
+    calibration = sim.run_protocol(
+        protocols.spam_calibration_circuits(config.dim), None, noise,
+        config.calibration_shots,
+        seed=qcore.derive_seed(config.seed, calibration_label, trial))
+    general = recon.estimate_spam_general(calibration,
+                                          gate_depol_p=config.gate_depol_p)
+    reads = sim.simulate_level_reads(
+        clicks, config.calibration_shots,
+        seed=qcore.derive_seed(config.seed, reads_label, trial))
+    return general, recon.estimate_spam_gibbs(reads, np.asarray(config.omegas))
 
 
 def _full_noise(config):
@@ -341,25 +360,17 @@ def run_spam_fits(config):
             "b1": config.b1,
         },
     }
-    circuits = protocols.spam_calibration_circuits(dim)
-    data = sim.run_protocol(
-        circuits, None, noise, config.calibration_shots,
-        seed=qcore.derive_seed(config.seed, "spam-calibration"))
-    fit = recon.estimate_spam_general(data, gate_depol_p=config.gate_depol_p)
-    true_probs = sim.outcome_probabilities(circuits, None, noise)
-    predicted = np.asarray(fit.diagnostics["predicted_probs"])
-    report["spam_general"] = fit.to_dict()
-    report["spam_general"]["predictive_residual"] = float(
-        np.max(np.abs(predicted - true_probs)))
-
-    reads = sim.simulate_level_reads(
-        clicks, config.calibration_shots,
-        seed=qcore.derive_seed(config.seed, "spam-level-reads"))
-    fit = recon.estimate_spam_gibbs(reads, np.asarray(config.omegas))
-    predicted = np.asarray(fit.diagnostics["predicted_click_probs"])
-    report["spam_gibbs"] = fit.to_dict()
-    report["spam_gibbs"]["predictive_residual"] = float(
-        np.max(np.abs(predicted - clicks)))
+    # an unconverged fit is reported, through its "converged" field
+    general, gibbs = _calibrate(config, noise, clicks, "spam-calibration",
+                                "spam-level-reads")
+    true_probs = sim.outcome_probabilities(
+        protocols.spam_calibration_circuits(dim), None, noise)
+    for key, fit, predicted, truth in (
+            ("spam_general", general, "predicted_probs", true_probs),
+            ("spam_gibbs", gibbs, "predicted_click_probs", clicks)):
+        report[key] = fit.to_dict()
+        report[key]["predictive_residual"] = float(
+            np.max(np.abs(fit.diagnostics[predicted] - truth)))
     return report
 
 

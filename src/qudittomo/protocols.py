@@ -140,9 +140,13 @@ def qpt_preparations(dim):
     return preps
 
 
+@functools.cache
 def qpt_two_level(dim):
     """Process tomography: every probe preparation crossed with every
-    state-tomography measurement circuit, d^2 (1 + d(d-1)) circuits."""
+    state-tomography measurement circuit, d^2 (1 + d(d-1)) circuits.
+
+    The protocol is built once per dimension and shared; it is frozen.
+    """
     meas_circuits = qst_two_level(dim).circuits
     circuits = []
     for prep_label, prep_seq in qpt_preparations(dim):

@@ -54,23 +54,22 @@ def is_unitary(u, atol=ATOL_UNITARY):
     return bool(np.max(np.abs(dagger(u) @ u - np.eye(u.shape[0]))) <= atol)
 
 
-def check_density_matrix(rho, atol_herm=ATOL_HERMITIAN, atol_trace=ATOL_TRACE,
-                         atol_psd=ATOL_PSD):
+def check_density_matrix(rho):
     """Raise ValueError unless rho is a valid density matrix."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    if not is_hermitian(rho, atol_herm):
+    if not is_hermitian(rho):
         raise ValueError("density matrix is not Hermitian")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > atol_trace:
+    if abs(tr - 1.0) > ATOL_TRACE:
         raise ValueError(f"density matrix trace {tr} differs from 1")
     wmin = np.linalg.eigvalsh((rho + dagger(rho)) / 2).min()
-    if wmin < -atol_psd:
+    if wmin < -ATOL_PSD:
         raise ValueError(f"density matrix has negative eigenvalue {wmin}")
 
 
-def check_povm(ops, atol=ATOL_TRACE_PRESERVING):
+def check_povm(ops):
     """Raise ValueError unless `ops` (stacked (k, d, d)) forms a POVM."""
     ops = np.asarray(ops)
     if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
@@ -82,7 +81,7 @@ def check_povm(ops, atol=ATOL_TRACE_PRESERVING):
         if wmin < -ATOL_PSD:
             raise ValueError(f"POVM element {m} has negative eigenvalue {wmin}")
     total = ops.sum(axis=0)
-    if np.max(np.abs(total - np.eye(ops.shape[1]))) > atol:
+    if np.max(np.abs(total - np.eye(ops.shape[1]))) > ATOL_TRACE_PRESERVING:
         raise ValueError("POVM elements do not sum to the identity")
 
 

@@ -20,8 +20,9 @@ Lagrange multiplier of the trace-preservation constraint.  SPAM
 calibration parameters come from structured solves: a closed form for
 the general diagonal model and a profile likelihood for the thermal
 one, whose inner (b0, b1) problems are solved by one batched projected
-Newton method.  The three likelihood fits share one input check and
-one report builder.
+Newton method.  All five fits share one input check and one report
+builder, which derives the likelihood, residual and convergence of a
+report from the table of probabilities its estimate predicts.
 
 The general diagonal model has d^2 - 1 parameters, but its d
 calibration circuits determine only d(d - 1) frequencies, so its
@@ -61,6 +62,12 @@ START_MIX = 1e-3
 RATE_MAX = 0.5
 RATE_GAIN = 1e-15
 RATE_MAX_ITER = 200
+# stop rules of the CPTP projection (residual max|Tr_out J - I|, Newton
+# steps) and of the EM readout fit (per-shot gain, iterations)
+CPTP_TOL = 1e-12
+CPTP_MAX_ITER = 50
+EM_TOL = 1e-12
+EM_MAX_ITER = 10000
 
 
 @dataclass
@@ -196,19 +203,23 @@ def build_measurement_model(protocol, spam=None, gate_depol_p=0.0):
     return MeasurementModel(protocol.kind, dim, labels, ops)
 
 
+def _checked_counts(data, shape):
+    """Float counts of `data`, checked to have `shape` and some shots."""
+    if data.counts.shape != shape:
+        raise ValueError(
+            f"counts shape {data.counts.shape} does not match {shape}")
+    if data.counts.sum() <= 0:
+        raise ValueError("dataset contains no counts")
+    return np.asarray(data.counts, dtype=float)
+
+
 def _fit_counts(data, model, kind):
     """Flat float counts of `data`, checked against a `kind` model."""
     if model.kind != kind:
         raise ValueError(f"expected a {kind!r} model, got {model.kind!r}")
     if tuple(data.labels) != tuple(model.labels):
         raise ValueError("dataset circuits do not match the model circuits")
-    if data.counts.shape != (model.n_circuits, model.n_outcomes):
-        raise ValueError(
-            f"counts shape {data.counts.shape} does not match model "
-            f"({model.n_circuits}, {model.n_outcomes})")
-    if data.counts.sum() <= 0:
-        raise ValueError("dataset contains no counts")
-    return np.asarray(data.counts, dtype=float).ravel()
+    return _checked_counts(data, (model.n_circuits, model.n_outcomes)).ravel()
 
 
 def _floored_probs(model, x):
@@ -221,24 +232,21 @@ def _hermitian_sum(model, w):
     return (s + qcore.dagger(s)) / 2
 
 
-def _residual(probs, data):
-    freq = data.frequencies()
+def _fit_report(estimate, probs, data, iterations, stop_reason, diagnostics):
+    """FitReport of an estimate that predicts the outcome table `probs`.
+
+    Its log-likelihood is sum_n c_n log max(p_n, PROB_FLOOR), its residual
+    max |p - f| over the circuits that got shots (inf when none did); it
+    has converged only if `stop_reason` is "tol".
+    """
+    counts = np.asarray(data.counts, dtype=float).ravel()
+    ll = float(counts @ np.log(np.maximum(probs, PROB_FLOOR).ravel()))
     mask = data.shots > 0
-    if not mask.any():
-        return np.inf
-    return float(np.max(np.abs(probs[mask] - freq[mask])))
-
-
-def _fit_report(estimate, ll, iterations, converged, data, model, diagnostics):
-    """FitReport of a likelihood fit, with the residual of its estimate."""
-    return FitReport(
-        estimate=estimate,
-        log_likelihood=ll,
-        iterations=iterations,
-        converged=converged,
-        max_residual=_residual(model.probabilities(estimate), data),
-        diagnostics=diagnostics,
-    )
+    residual = (float(np.max(np.abs(probs[mask] - data.frequencies()[mask])))
+                if mask.any() else np.inf)
+    return FitReport(estimate=estimate, log_likelihood=ll, iterations=iterations,
+                     converged=stop_reason == "tol", max_residual=residual,
+                     diagnostics={**diagnostics, "stop_reason": stop_reason})
 
 
 def _diluted_ascent(model, counts, x, probs_of, candidate, mix, tol, max_iter,
@@ -251,7 +259,7 @@ def _diluted_ascent(model, counts, x, probs_of, candidate, mix, tol, max_iter,
     so the trace is non-decreasing.  Stops with "tol" when the gain drops
     below `tol` per shot, "stalled" when no halved step ascends,
     "pure_kept" when `early_stop(iteration, R, x, p, ll)` is true, or
-    "max_iter".  Returns (x, p, ll, trace, iterations, stop_reason).
+    "max_iter".  Returns (x, p, trace, iterations, stop_reason).
     """
     min_gain = tol * max(counts.sum(), 1.0)
     p = probs_of(x)
@@ -283,7 +291,7 @@ def _diluted_ascent(model, counts, x, probs_of, candidate, mix, tol, max_iter,
         if gain < min_gain:
             stop_reason = "tol"
             break
-    return x, p, ll, trace, iterations, stop_reason
+    return x, p, trace, iterations, stop_reason
 
 
 def mle_state(data, model, tol=1e-10, max_iter=10000, pure=None):
@@ -341,7 +349,7 @@ def mle_state(data, model, tol=1e-10, max_iter=10000, pure=None):
         cand = cand / cand.trace().real
         return (cand + cand.conj().T) / 2
 
-    rho, p, ll, trace, iterations, stop_reason = _diluted_ascent(
+    rho, p, trace, iterations, stop_reason = _diluted_ascent(
         model, counts, np.eye(model.dim, dtype=complex) / model.dim,
         functools.partial(_floored_probs, model), candidate,
         lambda step, cand, rho: step * cand + (1.0 - step) * rho,
@@ -349,9 +357,9 @@ def mle_state(data, model, tol=1e-10, max_iter=10000, pure=None):
     gap = None
     if p.min() > PROB_FLOOR:
         gap = _gap_bound(_hermitian_sum(model, counts / p), rho)
-    return _fit_report(rho, ll, iterations, stop_reason == "tol", data, model,
-                       {"loglik_trace": np.asarray(trace),
-                        "stop_reason": stop_reason, "gap_bound": gap})
+    return _fit_report(rho, model.probabilities(rho), data, iterations,
+                       stop_reason, {"loglik_trace": np.asarray(trace),
+                                     "gap_bound": gap})
 
 
 def _gap_bound(r, rho):
@@ -377,16 +385,16 @@ def mle_state_pure(data, model, tol=1e-10, max_iter=10000):
     counts = _fit_counts(data, model, "qst")
     p0 = _floored_probs(model, np.eye(model.dim) / model.dim)
     _, vecs = np.linalg.eigh(_hermitian_sum(model, counts / p0))
-    psi, p, ll, trace, iterations, stop_reason = _diluted_ascent(
+    psi, _, trace, iterations, stop_reason = _diluted_ascent(
         model, counts, vecs[:, -1],
         lambda v: _floored_probs(model, np.outer(v, v.conj())),
         lambda r, v: _unit(r @ v),
         lambda step, cand, v: _unit(step * cand + (1.0 - step) * v),
         tol, max_iter)
-    return _fit_report(np.outer(psi, psi.conj()), ll, iterations,
-                       stop_reason == "tol", data, model,
-                       {"loglik_trace": np.asarray(trace), "state_vector": psi,
-                        "stop_reason": stop_reason})
+    rho = np.outer(psi, psi.conj())
+    return _fit_report(rho, model.probabilities(rho), data, iterations,
+                       stop_reason, {"loglik_trace": np.asarray(trace),
+                                     "state_vector": psi})
 
 
 @functools.cache
@@ -426,7 +434,7 @@ def select_rank(full, pure):
     return full
 
 
-def project_cptp(choi, tol=1e-12, max_iter=50):
+def project_cptp(choi):
     """Euclidean projection of a Hermitian matrix onto the CPTP Choi matrices.
 
     The nearest J >= 0 with Tr_out J = I to G is J(L) = [G - L (x) I]_+,
@@ -438,8 +446,8 @@ def project_cptp(choi, tol=1e-12, max_iter=50):
     eigendecomposition, and each step backtracks until theta passes an
     Armijo test or the residual max|Tr_out J - I| halves.  The start is
     L = (Tr_out G - I) / d, and the solve stops once the residual is at
-    most `tol`, after `max_iter` steps, or when no step makes progress.
-    The result is positive semidefinite by construction.
+    most CPTP_TOL, after CPTP_MAX_ITER steps, or when no step makes
+    progress.  The result is positive semidefinite by construction.
     """
     g = (choi + qcore.dagger(choi)) / 2
     d2 = g.shape[0]
@@ -460,8 +468,8 @@ def project_cptp(choi, tol=1e-12, max_iter=50):
 
     lam = (qcore.choi_output_trace(g) - eye) / d
     theta, resid, err, w, v3 = evaluate(lam)
-    for _ in range(max_iter):
-        if err <= tol:
+    for _ in range(CPTP_MAX_ITER):
+        if err <= CPTP_TOL:
             break
         # divided differences of max(., 0) at the eigenvalues; a tie
         # takes the derivative, 1 above zero and 0 at or below it
@@ -586,10 +594,9 @@ def mle_process(data, model, tol=0.5, max_iter=10000):
             y, p_y, momentum = choi, p, 1.0
     gap = _process_gap(model, counts, choi, p) if p.min() > PROB_FLOOR else None
     tp_residual = np.abs(qcore.choi_output_trace(choi) - np.eye(dim)).max()
-    ll = float(counts @ np.log(p))
-    return _fit_report(choi, ll, iterations, stop_reason == "tol", data, model,
-                       {"stop_reason": stop_reason, "gap_bound": gap,
-                        "tp_residual": float(tp_residual),
+    return _fit_report(choi, model.probabilities(choi), data, iterations,
+                       stop_reason,
+                       {"gap_bound": gap, "tp_residual": float(tp_residual),
                         "min_eigenvalue": float(np.linalg.eigvalsh(choi)[0])})
 
 
@@ -645,31 +652,31 @@ def _calibration_maps(dim, gate_depol_p):
     return maps, offsets
 
 
-def _em_response(counts, transfer, response, tol=1e-12, max_iter=10000):
+def _em_response(counts, transfer, response):
     """Readout B maximizing sum_jk n_jk log (B v_j)_k at fixed populations.
 
     `transfer` holds the columns v_j.  The likelihood is concave in the
     column-stochastic B, and the EM update
     B_km <- B_km sum_j v_j[m] n_jk / (B v_j)_k, renormalized per column,
     never lowers it.  A column no shot informs is left as it is.  Stops
-    when the gain drops below `tol` per shot.  Returns
-    (B, iterations, stop_reason).
+    when the gain drops below EM_TOL per shot, or after EM_MAX_ITER
+    iterations.  Returns (B, iterations, stop_reason).
     """
     counts_t = counts.T
     seen = counts_t > 0
     n_total = counts.sum()
     ll = -np.inf
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, EM_MAX_ITER + 1):
         pred = response @ transfer
         ll_new = float(np.sum(counts_t[seen] * np.log(pred[seen])))
-        if ll_new - ll < tol * n_total:
+        if ll_new - ll < EM_TOL * n_total:
             return response, iterations, "tol"
         ll = ll_new
         ratio = np.divide(counts_t, pred, out=np.zeros_like(pred), where=seen)
         weight = response * (ratio @ transfer.T)
         total = weight.sum(axis=0)
         response = np.divide(weight, total, out=response.copy(), where=total > 0)
-    return response, max_iter, "max_iter"
+    return response, EM_MAX_ITER, "max_iter"
 
 
 def estimate_spam_general(data, gate_depol_p=0.0):
@@ -693,13 +700,8 @@ def estimate_spam_general(data, gate_depol_p=0.0):
     holds min B(a) before clipping, or None when a circuit has no shots
     and B(a) is undefined.
     """
-    counts = np.asarray(data.counts, dtype=float)
-    dim = counts.shape[1]
-    if counts.shape[0] != dim:
-        raise ValueError(
-            f"expected {dim} calibration circuits, got {counts.shape[0]}")
-    if counts.sum() <= 0:
-        raise ValueError("dataset contains no counts")
+    dim = data.counts.shape[1]
+    counts = _checked_counts(data, (dim, dim))
     if not 0.0 <= gate_depol_p <= 1.0:
         raise ValueError(f"gate_depol_p must lie in [0, 1], got {gate_depol_p}")
 
@@ -763,16 +765,10 @@ def estimate_spam_general(data, gate_depol_p=0.0):
         iterations += em_iterations
         evaluations += em_iterations
     probs = (b @ v).T
-    return FitReport(
-        estimate=readout.DiagonalSpamModel(a, b),
-        log_likelihood=float(np.sum(counts * np.log(np.clip(probs, PROB_FLOOR, None)))),
-        iterations=iterations,
-        converged=stop_reason == "tol",
-        max_residual=_residual(probs, data),
-        diagnostics={"predicted_probs": probs, "branch": branch,
-                     "min_response": min_response, "evaluations": evaluations,
-                     "stop_reason": stop_reason},
-    )
+    return _fit_report(readout.DiagonalSpamModel(a, b), probs, data, iterations,
+                       stop_reason, {"predicted_probs": probs, "branch": branch,
+                                     "min_response": min_response,
+                                     "evaluations": evaluations})
 
 
 def _newton_step(grad, hess, active):
@@ -865,9 +861,9 @@ def _fit_rates(dark, clicks, populations, rates):
             todo = todo[~ok & (clipped | (slope > RATE_GAIN))]
             t /= 2.0
         idx = idx[gain > RATE_GAIN]
-    converged = np.ones(len(x), dtype=bool)
-    converged[idx] = False
-    return x, ll, iterations, converged
+    settled = np.ones(len(x), dtype=bool)
+    settled[idx] = False
+    return x, ll, iterations, settled
 
 
 def estimate_spam_gibbs(data, omegas):
@@ -887,16 +883,9 @@ def estimate_spam_gibbs(data, omegas):
     the rates of the one before.  `diagnostics["evaluations"]` counts the
     Newton iterations of every solve.
     """
-    counts = np.asarray(data.counts, dtype=float)
     omegas = np.asarray(omegas, dtype=float)
-    dim = omegas.size
-    if counts.shape != (dim, 2):
-        raise ValueError(
-            f"expected binary counts for {dim} levels, got shape {counts.shape}")
-    if counts.sum() <= 0:
-        raise ValueError("dataset contains no counts")
+    counts = _checked_counts(data, (omegas.size, 2))
     dark, clicks = counts[:, 0], counts[:, 1]
-    n_total = counts.sum()
 
     def fit_rates(log_temps, rates):
         pops = np.stack([readout.gibbs_populations(np.exp(t), omegas)
@@ -904,7 +893,7 @@ def estimate_spam_gibbs(data, omegas):
         return _fit_rates(dark, clicks, pops, rates)
 
     grid = np.linspace(np.log(1e-6), np.log(100.0), 41)
-    rates, ll, iterations, converged = fit_rates(
+    rates, ll, iterations, settled = fit_rates(
         grid, np.full((grid.size, 2), RATE_MAX / 2))
     evaluations = int(iterations.sum())
     i = int(np.argmax(ll))
@@ -912,8 +901,8 @@ def estimate_spam_gibbs(data, omegas):
 
     def negative_profile(log_temp):
         # each evaluation starts from the rates of the one before
-        nonlocal rates, ll, converged, evaluations
-        rates, ll, iterations, converged = fit_rates([log_temp], rates)
+        nonlocal rates, settled, evaluations
+        rates, ll, iterations, settled = fit_rates([log_temp], rates)
         evaluations += int(iterations[0])
         return -ll[0]
 
@@ -925,18 +914,12 @@ def estimate_spam_gibbs(data, omegas):
     temp = float(np.exp(outer.x))
     b0, b1 = (float(v) for v in rates[0])
     stop_reason = _stop_reason(outer.status, 1)
-    if stop_reason == "tol" and not converged[0]:
+    if stop_reason == "tol" and not settled[0]:
         stop_reason = "max_iter"
     a = readout.gibbs_populations(temp, omegas)
     p_fit = (1.0 - b0) * a + b1 * (1.0 - a)
-    freq = data.frequencies()[:, 1]
-    mask = data.shots > 0
-    return FitReport(
-        estimate={"temperature": temp, "b0": b0, "b1": b1},
-        log_likelihood=float(ll[0] * n_total),
-        iterations=int(outer.nit),
-        converged=stop_reason == "tol",
-        max_residual=float(np.max(np.abs(p_fit[mask] - freq[mask]))),
-        diagnostics={"populations": a, "predicted_click_probs": p_fit,
-                     "evaluations": evaluations, "stop_reason": stop_reason},
-    )
+    return _fit_report({"temperature": temp, "b0": b0, "b1": b1},
+                       np.stack([1.0 - p_fit, p_fit], axis=1), data,
+                       int(outer.nit), stop_reason,
+                       {"populations": a, "predicted_click_probs": p_fit,
+                        "evaluations": evaluations})

@@ -165,11 +165,16 @@ def allocate_shots(total_shots, n_circuits):
 
 
 def sample_counts(probs, shots, rng):
-    """Multinomial draw of `shots` outcomes from the distribution `probs`."""
+    """Multinomial draws of `shots[i]` outcomes from each row `probs[i]`.
+
+    Every row must be nonnegative and sum to 1 within 1e-10; the rows are
+    drawn in order from `rng`.  A single distribution takes a scalar count.
+    """
     probs = np.asarray(probs, dtype=float)
-    if probs.min() < 0 or abs(probs.sum() - 1.0) > 1e-10:
+    totals = probs.sum(axis=-1, keepdims=True)
+    if probs.min() < 0 or np.abs(totals - 1.0).max() > 1e-10:
         raise ValueError("probabilities must be nonnegative and sum to 1")
-    return rng.multinomial(int(shots), probs / probs.sum())
+    return rng.multinomial(np.asarray(shots, dtype=np.int64), probs / totals)
 
 
 @dataclass(frozen=True)
@@ -220,10 +225,7 @@ def run_protocol(protocol, truth, noise, total_shots, seed):
                 else tuple(protocol))
     probs = outcome_probabilities(circuits, truth, noise)
     shots = allocate_shots(total_shots, len(circuits))
-    rng = qcore.make_rng(seed, "counts")
-    counts = np.zeros(probs.shape, dtype=np.int64)
-    for i, p in enumerate(probs):
-        counts[i] = sample_counts(p, shots[i], rng)
+    counts = sample_counts(probs, shots, qcore.make_rng(seed, "counts"))
     labels = tuple(c.label for c in circuits)
     return CountsDataset(labels, shots, counts)
 
@@ -239,10 +241,7 @@ def simulate_level_reads(clicks, total_shots, seed):
     p_clicks = np.clip(np.asarray(clicks, dtype=float), 0.0, 1.0)
     dim = p_clicks.size
     shots = allocate_shots(total_shots, dim)
-    rng = qcore.make_rng(seed, "level-reads")
-    counts = np.zeros((dim, 2), dtype=np.int64)
-    for j in range(dim):
-        clicks = rng.binomial(shots[j], p_clicks[j])
-        counts[j] = (shots[j] - clicks, clicks)
+    clicked = qcore.make_rng(seed, "level-reads").binomial(shots, p_clicks)
+    counts = np.stack([shots - clicked, clicked], axis=1)
     labels = tuple(f"read{j}" for j in range(dim))
     return CountsDataset(labels, shots, counts)

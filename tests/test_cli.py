@@ -7,8 +7,10 @@ is echoed into the file.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -277,17 +279,22 @@ def test_numerical_failure_exits_with_code_3(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("reason", ["stalled", "max_iter"])
+@pytest.mark.parametrize("fit, name", [
+    ("mle_process", "process"),
+    ("estimate_spam_general", "general calibration"),
+    ("estimate_spam_gibbs", "thermal calibration")],
+    ids=["process", "general", "thermal"])
 def test_unconverged_process_fit_exits_with_code_3(tmp_path, monkeypatch, capsys,
-                                                   reason):
-    def unconverged(data, model):
+                                                   fit, name, reason):
+    def unconverged(*args, **kwargs):
         return SimpleNamespace(converged=False,
                                diagnostics={"stop_reason": reason})
 
-    monkeypatch.setattr(recon, "mle_process", unconverged)
+    monkeypatch.setattr(recon, fit, unconverged)
     assert run_main(["qpt-models", "--grid", "300", "--trials", "1",
                      "--out", str(tmp_path / "x.csv")]) == 3
     err = capsys.readouterr().err
-    assert "process fit did not converge" in err and f"({reason}," in err
+    assert f"{name} fit did not converge" in err and f"({reason}," in err
 
 
 def test_config_validation_direct():
@@ -314,6 +321,10 @@ def test_cli_import_does_not_load_scipy_stats():
         "import qudittomo.cli\n"
         "added = set(sys.modules) - before\n"
         "print(sorted(m for m in added if m.split('.')[:2] == ['scipy', 'stats']))\n")
+    # the fresh interpreter finds the package where this one does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, check=True)
+                         text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"

@@ -993,3 +993,58 @@ class TestFitReportSerialization:
         est = np.asarray(back["estimate"]["re"]) + 1j * np.asarray(back["estimate"]["im"])
         assert np.max(np.abs(est - report.estimate)) < 1e-15
         assert back["converged"] is True
+
+
+def fitted_table(fit):
+    """Run `fit` on sampled data; return (report, data, predicted table).
+
+    The table is what the report's estimate predicts for every circuit
+    and outcome, computed here from the estimate; for the general fit it
+    is the `predicted_probs` diagnostic, checked against the oracle
+    probabilities of its estimate.
+    """
+    if fit == "estimate_spam_general":
+        circuits = protocols.spam_calibration_circuits(3)
+        data = sim.run_protocol(circuits, None, calibration_noise(3), 10 ** 5,
+                                seed=96)
+        report = recon.estimate_spam_general(data, gate_depol_p=0.001)
+        table = report.diagnostics["predicted_probs"]
+        oracle = calibration_probs(report.estimate, 0.001, 3)
+        assert np.max(np.abs(table - oracle)) <= 1e-12
+        return report, data, table
+    if fit == "estimate_spam_gibbs":
+        data = sim.simulate_level_reads(THERMAL_CLICKS, 10 ** 5, seed=96)
+        report = recon.estimate_spam_gibbs(data, np.array(OMEGAS[3]))
+        est = report.estimate
+        a = readout.gibbs_populations(est["temperature"], np.array(OMEGAS[3]))
+        p = (1.0 - est["b0"]) * a + est["b1"] * (1.0 - a)
+        return report, data, np.stack([1.0 - p, p], axis=1)
+    rng = qcore.make_rng(96)
+    if fit == "mle_process":
+        protocol = protocols.qpt_two_level(2)
+        truth = qcore.choi_depolarize(
+            qcore.choi_from_unitary(qcore.haar_unitary(2, rng)), 0.05)
+    else:
+        protocol = protocols.qst_two_level(3)
+        truth = qcore.depolarize(qcore.projector(qcore.haar_state(3, rng)), 0.1)
+    model = recon.build_measurement_model(protocol)
+    data = sim.run_protocol(protocol, truth, sim.NoiseConfig(), 20_000, seed=96)
+    report = getattr(recon, fit)(data, model)
+    return report, data, model.probabilities(report.estimate)
+
+
+class TestReportContract:
+    @pytest.mark.parametrize("fit", ["mle_state", "mle_state_pure", "mle_process",
+                                     "estimate_spam_general",
+                                     "estimate_spam_gibbs"])
+    def test_report_is_derived_from_the_predicted_table(self, fit):
+        # every fit states the likelihood and residual of its own
+        # estimate's predictions, and converges only on "tol"
+        report, data, table = fitted_table(fit)
+        counts = np.asarray(data.counts, dtype=float).ravel()
+        floored = np.maximum(table, recon.PROB_FLOOR).ravel()
+        assert report.log_likelihood == float(counts @ np.log(floored))
+        mask = data.shots > 0
+        freq = data.frequencies()
+        assert report.max_residual == float(np.max(np.abs(table[mask] - freq[mask])))
+        assert report.converged == (report.diagnostics["stop_reason"] == "tol")

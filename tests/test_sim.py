@@ -190,6 +190,26 @@ class TestSampling:
             sim.sample_counts(np.array([0.5, 0.4]), 10, qcore.make_rng(0))
         with pytest.raises(ValueError):
             sim.sample_counts(np.array([-0.1, 1.1]), 10, qcore.make_rng(0))
+        rows = np.array([[0.5, 0.5], [0.5, 0.4]])
+        with pytest.raises(ValueError):
+            sim.sample_counts(rows, np.array([10, 10]), qcore.make_rng(0))
+
+    def test_rows_draw_as_one_call_per_row(self):
+        # one call draws the rows in order from the stream, as a loop of
+        # single draws does; one row has a zero-probability outcome
+        rng = qcore.make_rng(78)
+        probs = rng.dirichlet(np.ones(4), size=30)
+        probs[3] = (0.0, 0.5, 0.25, 0.25)
+        shots = rng.integers(0, 10 ** 6, size=30)
+        loop_rng = qcore.make_rng(79)
+        want = [loop_rng.multinomial(int(n), p / p.sum()) for p, n in zip(probs, shots)]
+        assert np.array_equal(sim.sample_counts(probs, shots, qcore.make_rng(79)), want)
+        clicks = rng.uniform(size=5)
+        reads = sim.simulate_level_reads(clicks, 10 ** 5 + 3, seed=80)
+        loop_rng = qcore.make_rng(80, "level-reads")
+        want = [loop_rng.binomial(int(n), c) for n, c in zip(reads.shots, clicks)]
+        assert np.array_equal(reads.counts[:, 1], want)
+        assert np.array_equal(reads.counts.sum(axis=1), reads.shots)
 
     def test_allocation_arithmetic(self):
         shots = sim.allocate_shots(10 ** 6, 7)
