@@ -16,6 +16,7 @@ Conventions
 import hashlib
 
 import numpy as np
+from numpy.random import default_rng
 
 ATOL_HERMITIAN = 1e-12
 ATOL_TRACE = 1e-12
@@ -226,7 +227,7 @@ def derive_seed(seed, label="", index=0):
 
 def make_rng(seed, label="", index=0):
     """Generator for the child stream (seed, label, index)."""
-    return np.random.default_rng(derive_seed(seed, label, index))
+    return default_rng(derive_seed(seed, label, index))
 
 
 def haar_state(dim, rng):

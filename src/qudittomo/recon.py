@@ -18,11 +18,15 @@ stop counts as converged.  Its projection is the exact Euclidean
 projection onto the CPTP set, computed by a Newton solve for a d x d
 Lagrange multiplier of the trace-preservation constraint.  SPAM
 calibration parameters come from structured solves: a closed form for
-the general diagonal model and a profile likelihood for the thermal
-one, whose inner (b0, b1) problems are solved by one batched projected
-Newton method.  All five fits share one input check and one report
-builder, which derives the likelihood, residual and convergence of a
-report from the table of probabilities its estimate predicts.
+the general diagonal model, whose member of the flat set below is found
+by a log-barrier Newton path and a vertex polish that certifies it, and
+a profile likelihood for the thermal one, whose inner (b0, b1) problems
+are solved by one batched projected Newton method and whose maximum in
+log T is refined by secant steps on its slope.  All five fits share one
+input check and one report builder, which derives the likelihood,
+residual and convergence of a report from the table of probabilities
+its estimate predicts.  Every solver here, the chi-squared quantile of
+the rank test included, is written on numpy and the standard library.
 
 The general diagonal model has d^2 - 1 parameters, but its d
 calibration circuits determine only d(d - 1) frequencies, so its
@@ -36,12 +40,10 @@ what makes it useful.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse.linalg
-import scipy.special
 
 from . import qcore, readout
 from .circuits import gate_unitary
@@ -55,19 +57,38 @@ RANK_SIGNIFICANCE = 0.95
 # per-shot gain below which the process fit stops while its gap bound
 # does not apply (a probability on PROB_FLOOR)
 FLOOR_GAIN = 1e-10
-# weight of I/d mixed into the least-squares start of the process fit
+# weight of I/d mixed into the least-squares start of the process fit,
+# and the relative normal-equation residual at which that solve stops
 START_MIX = 1e-3
+LSTSQ_TOL = 1e-13
 # box bound of the thermal readout rates (b0, b1), the per-shot gain
 # below which their Newton solve stops, and its iteration cap
 RATE_MAX = 0.5
 RATE_GAIN = 1e-15
 RATE_MAX_ITER = 200
+# stop rules of the thermal fit's refinement in log T: the profile slope
+# per shot, the step in log T, and the profile evaluations
+SLOPE_TOL = 1e-12
+LOG_TEMP_TOL = 1e-10
+REFINE_MAX_ITER = 100
 # stop rules of the CPTP projection (residual max|Tr_out J - I|, Newton
 # steps) and of the EM readout fit (per-shot gain, iterations)
 CPTP_TOL = 1e-12
 CPTP_MAX_ITER = 50
 EM_TOL = 1e-12
 EM_MAX_ITER = 10000
+# log-barrier path of the general calibration fit: the first barrier
+# weight, its growth per centering and the weight past which the path
+# ends; a centering stops at half a squared Newton decrement of
+# CENTER_TOL or after CENTER_MAX_ITER steps
+BARRIER_T0 = 1e3
+BARRIER_GROWTH = 30.0
+BARRIER_T_MAX = 1e14
+CENTER_TOL = 1e-10
+CENTER_MAX_ITER = 100
+# Newton solve of the vertex that polishes that path: residual, steps
+VERTEX_TOL = 1e-14
+VERTEX_MAX_ITER = 20
 
 
 @dataclass
@@ -397,13 +418,49 @@ def mle_state_pure(data, model, tol=1e-10, max_iter=10000):
                                      "state_vector": psi})
 
 
+def _chi2_tail(x, dof):
+    """P(X > x) for X chi-squared with a positive integer `dof`.
+
+    Closed forms: exp(-x/2) sum_{i < dof/2} (x/2)^i / i! for even dof, and
+    erfc(sqrt(x/2)) + sqrt(2x/pi) exp(-x/2) sum_{i < (dof-1)/2}
+    x^i / (3 * 5 * ... * (2i + 1)) for odd dof.
+    """
+    half = x / 2.0
+    if dof % 2 == 0:
+        term = total = 1.0
+        for i in range(1, dof // 2):
+            term *= half / i
+            total += term
+        return math.exp(-half) * total
+    term, total = 1.0, 0.0
+    for i in range(1, (dof + 1) // 2):
+        total += term
+        term *= x / (2 * i + 1)
+    root = math.sqrt(x)
+    return (math.erfc(root / math.sqrt(2.0))
+            + math.sqrt(2.0 / math.pi) * root * math.exp(-half) * total)
+
+
 @functools.cache
 def _rank_threshold(dim):
-    """Chi-squared threshold of the rank test in dimension `dim`."""
+    """Chi-squared threshold of the rank test in dimension `dim`.
+
+    The RANK_SIGNIFICANCE quantile: bisection on the upper tail down to
+    adjacent floats, then the one whose tail lies nearer 1 - level.  The
+    upper tail is computed to a few ulps, so the result is within an ulp
+    or two of the exact quantile.
+    """
     dof = (dim * dim - 1) - (2 * dim - 2)
-    # the chi-squared quantile, as scipy.stats.chi2.ppf computes it;
-    # scipy.stats itself is slow to import
-    return float(2.0 * scipy.special.gammaincinv(dof / 2, RANK_SIGNIFICANCE))
+    tail = 1.0 - RANK_SIGNIFICANCE
+    lo, hi = 0.0, 1.0
+    while _chi2_tail(hi, dof) > tail:
+        lo, hi = hi, 2.0 * hi
+    while (mid := (lo + hi) / 2.0) not in (lo, hi):
+        if _chi2_tail(mid, dof) > tail:
+            lo = mid
+        else:
+            hi = mid
+    return min((lo, hi), key=lambda x: abs(_chi2_tail(x, dof) - tail))
 
 
 def _keeps_pure(ll_full, ll_pure, threshold):
@@ -510,10 +567,10 @@ def mle_process(data, model, tol=0.5, max_iter=10000):
     (Beck & Teboulle 2009) on the exact Euclidean projection onto the
     CPTP set (`project_cptp`), so every iterate is positive semidefinite
     and trace preserving to 1e-12.  The start is the projected
-    least-squares estimate (`_process_start`): the `lsqr` solution of
-    A x ~ f for the frequencies f of the circuits that got shots,
-    projected onto the CPTP set and mixed with START_MIX of I/d so that
-    no probability starts on PROB_FLOOR.  Each iteration takes a
+    least-squares estimate (`_process_start`): the minimum-norm
+    least-squares solution of A x ~ f for the frequencies f of the
+    circuits that got shots, projected onto the CPTP set and mixed with
+    START_MIX of I/d so that no probability starts on PROB_FLOOR.  Each iteration takes a
     projected gradient step from the extrapolated point Y, halving the
     step until the likelihood at the result Z lies above the quadratic model
     ll(Y) + <G, Z - Y> - N |Z - Y|^2 / (2 step), with G the gradient
@@ -603,17 +660,48 @@ def mle_process(data, model, tol=0.5, max_iter=10000):
 def _process_start(data, model):
     """Start of the process fit: the projected least-squares estimate.
 
-    Solves A x ~ f for the observed frequencies f by `lsqr` over the rows
-    of circuits that got shots, projects the solution onto the CPTP set,
-    and mixes in START_MIX of I/d so that no probability starts on
-    PROB_FLOOR (Surawy-Stepney, Kahn, Kueng & Guta 2022).
+    Solves A x ~ f for the observed frequencies f over the rows of
+    circuits that got shots, in the least-squares sense with minimum
+    norm (`_least_squares`), projects the solution onto the CPTP set, and mixes in START_MIX
+    of I/d so that no probability starts on PROB_FLOOR (Surawy-Stepney,
+    Kahn, Kueng & Guta 2022).
     """
     dd = model.dim * model.dim
     rows = np.repeat(data.shots > 0, model.n_outcomes)
     design = model.matrix if rows.all() else model.matrix[rows]
-    x = scipy.sparse.linalg.lsqr(design, data.frequencies().ravel()[rows])[0]
+    x = _least_squares(design, data.frequencies().ravel()[rows])
     choi = project_cptp(x.view(complex).reshape(dd, dd))
     return (1.0 - START_MIX) * choi + START_MIX * np.eye(dd) / model.dim
+
+
+def _least_squares(a, b):
+    """Minimum-norm least-squares solution of a x ~ b, by CGLS.
+
+    Conjugate gradients on the normal equations from x = 0 (Hestenes &
+    Stiefel 1952), which in exact arithmetic is LSQR: every iterate lies
+    in the row space of `a`, so the limit is the minimum-norm solution.
+    Stops once |a^T (b - a x)| is at most LSTSQ_TOL times |a^T b|, or
+    after twice as many steps as `a` has columns.  On the well-conditioned
+    tomography designs it takes a few dozen matrix-vector products where
+    a dense factorization of `a` would cost far more.
+    """
+    x = np.zeros(a.shape[1])
+    r = np.array(b, dtype=float)
+    s = a.T @ r
+    p = s
+    gamma = float(s @ s)
+    stop = LSTSQ_TOL * np.sqrt(gamma)
+    for _ in range(2 * a.shape[1]):
+        if np.sqrt(gamma) <= stop:
+            break
+        q = a @ p
+        alpha = gamma / float(q @ q)
+        x += alpha * p
+        r -= alpha * q
+        s = a.T @ r
+        gamma, previous = float(s @ s), gamma
+        p = s + (gamma / previous) * p
+    return x
 
 
 def _process_gap(model, counts, choi, p):
@@ -624,13 +712,6 @@ def _process_gap(model, counts, choi, p):
     lam = (lam + qcore.dagger(lam)) / 2
     top = np.linalg.eigvalsh(g - np.kron(lam, np.eye(dim)))[-1]
     return max(float(lam.trace().real + dim * top - counts.sum()), 0.0)
-
-
-def _stop_reason(status, max_iter_status):
-    """Map a scipy optimizer status to tol, max_iter or stalled."""
-    if status == 0:
-        return "tol"
-    return "max_iter" if status == max_iter_status else "stalled"
 
 
 def _calibration_maps(dim, gate_depol_p):
@@ -679,6 +760,146 @@ def _em_response(counts, transfer, response):
     return response, EM_MAX_ITER, "max_iter"
 
 
+def _response_problem(freq, gate_depol_p):
+    """tr B and the constraints of the general calibration fit, with derivatives.
+
+    Over the free populations x, with a = (1 - sum(x), x) and the
+    response B(x) = F^T V(a)^-1 of `estimate_spam_general`, the returned
+    `evaluate(x)` gives (tr B, c) for the constraints c = (vec B, a) >= 0,
+    and `evaluate(x, True)` adds the gradient and Hessian of tr B and the
+    Jacobian and Hessians of c.  With W = V^-1 and E_i = (dV/dx_i) W,
+    where dV/dx_i is constant, dB/dx_i = -B E_i and
+    d^2 B / dx_i dx_l = B (E_i E_l + E_l E_i).  `evaluate.calls` counts
+    the evaluations.
+    """
+    dim = freq.shape[0]
+    n = dim - 1
+    maps, offsets = _calibration_maps(dim, gate_depol_p)
+    # dv[i] = dV/dx_i, whose column j is d v_j / d x_i
+    dv = (maps[:, :, 1:] - maps[:, :, :1]).transpose(2, 1, 0)
+    dpop = np.vstack([-np.ones(n), np.eye(n)])
+    flat = np.zeros((dim, n, n))
+
+    def evaluate(x, derivatives=False):
+        evaluate.calls += 1
+        a = np.concatenate([[1.0 - x.sum()], x])
+        w = np.linalg.inv((maps @ a + offsets).T)
+        b = freq.T @ w
+        c = np.concatenate([b.ravel(), a])
+        if not derivatives:
+            return np.trace(b), c
+        e = dv @ w
+        db = -b @ e
+        ee = e[:, None] @ e[None, :]
+        d2b = b @ (ee + ee.transpose(1, 0, 2, 3))
+        jac = np.concatenate([db.reshape(n, -1).T, dpop])
+        c_hess = np.concatenate([d2b.reshape(n, n, -1).transpose(2, 0, 1), flat])
+        return (np.trace(b), c, np.trace(db, axis1=1, axis2=2),
+                np.trace(d2b, axis1=2, axis2=3), jac, c_hess)
+
+    evaluate.calls = 0
+    return evaluate
+
+
+def _barrier_path(evaluate, x):
+    """Largest tr B(x) along the log-barrier central path, polished to a vertex.
+
+    `evaluate` is a `_response_problem` and x is strictly feasible.  Each
+    centering minimizes -t tr B - sum log c by damped Newton steps,
+    backtracking until c stays positive and an Armijo test passes; as
+    neither tr B nor c need be concave, the Hessian's eigenvalues enter
+    by their absolute values.  A centering stops when half the squared
+    Newton decrement is at most CENTER_TOL, after CENTER_MAX_ITER steps,
+    or when no step passes.  The weight t starts at BARRIER_T0 and grows
+    by BARRIER_GROWTH after each centering, which `_certified_vertex`
+    follows; the path ends at the first vertex it certifies, or once t
+    passes BARRIER_T_MAX.  Returns (the vertex or None, the last x,
+    Newton steps).
+    """
+    t, steps = BARRIER_T0, 0
+    while t <= BARRIER_T_MAX:
+        for _ in range(CENTER_MAX_ITER):
+            f, c, grad_f, hess_f, jac, c_hess = evaluate(x, True)
+            inv = 1.0 / c
+            grad = -t * grad_f - jac.T @ inv
+            hess = (-t * hess_f + (jac * inv[:, None] ** 2).T @ jac
+                    - np.tensordot(inv, c_hess, axes=1))
+            w, u = np.linalg.eigh(hess)
+            w = np.maximum(np.abs(w), 1e-12 * np.abs(w).max() + 1e-300)
+            dx = -u @ ((u.T @ grad) / w)
+            decrement = -float(grad @ dx)
+            steps += 1
+            if decrement / 2.0 <= CENTER_TOL:
+                break
+            phi = -t * f - np.log(c).sum()
+            step = 1.0
+            while step > 1e-12:
+                f_new, c_new = evaluate(x + step * dx)
+                if (c_new.min() > 0.0 and -t * f_new - np.log(c_new).sum()
+                        <= phi - 0.01 * step * decrement):
+                    break
+                step /= 2.0
+            else:
+                break
+            x = x + step * dx
+        vertex = _certified_vertex(evaluate, x)
+        if vertex is not None:
+            return vertex, x, steps
+        t *= BARRIER_GROWTH
+    return None, x, steps
+
+
+def _certified_vertex(evaluate, x):
+    """The vertex of the d - 1 tightest constraints at x, if it is certified.
+
+    Solves those constraints as equalities by Newton's method from x, to
+    a residual of at most VERTEX_TOL within VERTEX_MAX_ITER steps.  The
+    vertex is certified when every other constraint holds there and the
+    KKT multipliers mu of grad tr B + J^T mu = 0, with J the Jacobian of
+    the solved constraints, are nonnegative: tr B then falls at first
+    order along every feasible direction.  Returns the vertex or None.
+    """
+    active = np.argsort(evaluate(x)[1], kind="stable")[:x.size]
+    try:
+        for _ in range(VERTEX_MAX_ITER):
+            _, c, grad, _, jac, _ = evaluate(x, True)
+            if np.abs(c[active]).max() <= VERTEX_TOL:
+                break
+            x = x - np.linalg.solve(jac[active], c[active])
+        else:
+            return None
+        multipliers = -np.linalg.solve(jac[active].T, grad)
+    except np.linalg.LinAlgError:
+        return None
+    if multipliers.min() >= 0.0 and np.delete(c, active).min() >= 0.0:
+        return x
+    return None
+
+
+def _max_trace_response(evaluate, dim):
+    """Free populations x of largest tr B(x) subject to a >= 0 and B >= 0.
+
+    `evaluate` is a `_response_problem` of dimension `dim`.  The barrier
+    path starts at x = (eps, ..., eps), populations next to ideal
+    preparation e_0, with the largest eps in 1e-3 ... 1e-9 that makes
+    every constraint positive, and stops with "tol" at a certified vertex
+    or with "stalled" at the end of the path.  When no such eps exists,
+    x is e_0 itself and is reported infeasible: in 1,280 sampled
+    calibrations at d = 2 to 5 with 1e3 to 1e6 shots, a phase-I barrier
+    search ran on the 384 where this start failed and found a feasible
+    point in none.  Returns (x, whether x is feasible, Newton steps,
+    stop_reason).
+    """
+    for eps in 10.0 ** -np.arange(3, 10):
+        x = np.full(dim - 1, eps)
+        if evaluate(x)[1].min() > 0.0:
+            vertex, x, steps = _barrier_path(evaluate, x)
+            if vertex is None:
+                return x, True, steps, "stalled"
+            return vertex, True, steps, "tol"
+    return np.zeros(dim - 1), False, 0, "stalled"
+
+
 def estimate_spam_general(data, gate_depol_p=0.0):
     """Fit the full diagonal preparation-and-readout model to calibration counts.
 
@@ -690,12 +911,18 @@ def estimate_spam_general(data, gate_depol_p=0.0):
     exactly, and every a with a >= 0 and B(a) >= 0 maximizes the
     likelihood.  These maximizers form a set of dimension d - 1 (see the
     module notes).  The fit returns the member with the largest tr B, the
-    most faithful readout, found by a constrained solve over a that
-    starts from ideal preparation e_0.
+    most faithful readout (`_max_trace_response`): a log-barrier Newton
+    path over the d - 1 free populations, with analytic derivatives of
+    B(a), from a start next to ideal preparation e_0 ("Convex
+    Optimization", Boyd & Vandenberghe 2004, ch. 11), then a polish that
+    solves the d - 1 tightest constraints as equalities.  It converges
+    ("tol") only when the polished vertex satisfies every other
+    constraint and has nonnegative KKT multipliers; `iterations` counts
+    the Newton steps of the path.
 
-    When no such a exists, typically because some outcome was never
-    observed, B is fitted by EM at the populations where the constrained
-    solve ended.  `diagnostics["branch"]` says which route was taken
+    When no start makes every constraint strictly positive, typically
+    because some outcome was never observed, B is fitted by EM at ideal
+    preparation.  `diagnostics["branch"]` says which route was taken
     ("closed_form" or "fallback"), and `diagnostics["min_response"]`
     holds min B(a) before clipping, or None when a circuit has no shots
     and B(a) is undefined.
@@ -705,56 +932,24 @@ def estimate_spam_general(data, gate_depol_p=0.0):
     if not 0.0 <= gate_depol_p <= 1.0:
         raise ValueError(f"gate_depol_p must lie in [0, 1], got {gate_depol_p}")
 
-    maps, offsets = _calibration_maps(dim, gate_depol_p)
-    # a = (1 - sum(x), x); dmaps[j, :, i] = d v_j / d x_i
-    dmaps = maps[:, :, 1:] - maps[:, :, :1]
-
-    def populations(x):
-        return np.concatenate([[1.0 - x.sum()], x])
-
-    def transfer(a):
-        return (maps @ a + offsets).T
-
     x = np.zeros(dim - 1)
+    feasible = False
     iterations = evaluations = 0
     min_response = None
     shots = counts.sum(axis=1)
     if np.all(shots > 0):
-        freq = counts / shots[:, None]
-
-        def response(x):
-            vinv = np.linalg.inv(transfer(populations(x)))
-            return freq.T @ vinv, vinv
-
-        def negative_trace(x):
-            b, vinv = response(x)
-            return -np.trace(b), np.einsum("km,jmi,jk->i", b, dmaps, vinv)
-
-        def response_jacobian(x):
-            b, vinv = response(x)
-            return -np.einsum("km,jmi,jl->kli", b, dmaps, vinv).reshape(dim * dim, -1)
-
-        res = scipy.optimize.minimize(
-            negative_trace, x, jac=True, method="SLSQP",
-            bounds=[(0.0, 1.0)] * (dim - 1),
-            constraints=[
-                {"type": "ineq", "fun": lambda x: response(x)[0].ravel(),
-                 "jac": response_jacobian},
-                {"type": "ineq", "fun": lambda x: np.array([1.0 - x.sum()]),
-                 "jac": lambda x: -np.ones((1, dim - 1))}],
-            options={"ftol": 1e-12, "maxiter": 200})
-        x, iterations, evaluations = res.x, res.nit, res.nfev
-        stop_reason = _stop_reason(res.status, 9)
-        b = response(x)[0]
+        evaluate = _response_problem(counts / shots[:, None], gate_depol_p)
+        x, feasible, iterations, stop_reason = _max_trace_response(evaluate, dim)
+        b = evaluate(x)[1][:dim * dim].reshape(dim, dim)
+        evaluations = evaluate.calls
         min_response = float(b.min())
 
-    a = np.clip(populations(x), 0.0, None)
+    a = np.clip(np.concatenate([[1.0 - x.sum()], x]), 0.0, None)
     a /= a.sum()
-    v = transfer(a)
-    # clipping entries of order -1e-9 moves no probability by more than that
-    feasible = min_response is not None and min_response >= -1e-9
+    maps, offsets = _calibration_maps(dim, gate_depol_p)
+    v = (maps @ a + offsets).T
     branch = "closed_form" if feasible else "fallback"
-    if branch == "closed_form":
+    if feasible:
         b = np.clip(b, 0.0, None)
         b /= b.sum(axis=0)
     else:
@@ -802,8 +997,10 @@ def _fit_rates(dark, clicks, populations, rates):
     step does, stays put; the other step is the closed-form 2 x 2 solve,
     halved until it passes a projected Armijo test without lowering the
     likelihood, or until concavity bounds the gain of an unclipped step
-    by RATE_GAIN.  A row stops once a step gains at most RATE_GAIN per
-    shot.  Returns the rates, the per-shot log-likelihoods, the Newton
+    by RATE_GAIN.  A full unclipped step so bounded is taken without the
+    test, whose rise rounding hides, so that the rates, and the profile
+    slope `estimate_spam_gibbs` computes from them, are exact to rounding.
+    A row stops once a step gains at most RATE_GAIN per shot.  Returns the rates, the per-shot log-likelihoods, the Newton
     iterations per row and whether each row stopped on its gain.
     """
     n_total = dark.sum() + clicks.sum()
@@ -851,19 +1048,37 @@ def _fit_rates(dark, clicks, populations, rates):
             p_new, ll_new = loglik(idx[todo], cand)
             rise = ll_new - ll[idx[todo]]
             slope = (grad[todo] * (cand - xi[todo])).sum(axis=1)
-            ok = rise >= 1e-4 * np.maximum(slope, 0.0)
+            clipped = (cand != full).any(axis=1)
+            last = (t == 1.0) & ~clipped & (slope <= RATE_GAIN)
+            ok = last | (rise >= 1e-4 * np.maximum(slope, 0.0))
             rows = idx[todo[ok]]
             x[rows], p[rows], ll[rows] = cand[ok], p_new[ok], ll_new[ok]
-            gain[todo[ok]] = rise[ok]
+            gain[todo[ok]] = np.where(last[ok], 0.0, rise[ok])
             # by concavity no shorter step gains more than the slope of
             # an unclipped one
-            clipped = (cand != full).any(axis=1)
             todo = todo[~ok & (clipped | (slope > RATE_GAIN))]
             t /= 2.0
         idx = idx[gain > RATE_GAIN]
     settled = np.ones(len(x), dtype=bool)
     settled[idx] = False
     return x, ll, iterations, settled
+
+
+def _profile_slopes(dark, clicks, omegas, log_temps, populations, rates):
+    """d/d log T of the per-shot profile log-likelihood, one row per T.
+
+    By the envelope theorem it is the partial derivative at the fitted
+    rates (b0, b1): with click probabilities p = b1 + (1 - b0 - b1) a and
+    d a_j / d log T = a_j (omega_j - sum_k a_k omega_k) / T, it is
+    sum_j (clicks_j / p_j - dark_j / (1 - p_j)) dp_j / d log T per shot.
+    """
+    b0, b1 = rates[:, :1], rates[:, 1:]
+    p = np.clip((1.0 - b0) * populations + b1 * (1.0 - populations),
+                PROB_FLOOR, 1.0 - PROB_FLOOR)
+    da = (populations * (omegas - populations @ omegas[:, None])
+          / np.exp(log_temps)[:, None])
+    return (((clicks / p - dark / (1.0 - p)) * (1.0 - b0 - b1) * da).sum(axis=1)
+            / (dark.sum() + clicks.sum()))
 
 
 def estimate_spam_gibbs(data, omegas):
@@ -877,49 +1092,81 @@ def estimate_spam_gibbs(data, omegas):
     The fit maximizes the profile likelihood over T.  At fixed T the click
     probabilities are affine in (b0, b1), so the likelihood is concave on
     the [0, 0.5]^2 box and a projected Newton solve (`_fit_rates`) finds
-    its maximum.  The profile over log T in [1e-6, 100] is searched on a
-    coarse grid, all of whose (b0, b1) problems are solved as one batch,
-    and refined by bounded Brent, each of whose evaluations starts from
-    the rates of the one before.  `diagnostics["evaluations"]` counts the
-    Newton iterations of every solve.
+    its maximum, where the envelope theorem gives the profile's slope in
+    log T (`_profile_slopes`).  The profile over log T in [1e-6, 100] is
+    searched on a coarse grid, all of whose (b0, b1) problems are solved
+    as one batch.  Between the best grid point and the neighbour its
+    slope points to, where the slope changes sign, secant steps on the
+    slope, replaced by bisection when they leave that bracket, refine
+    log T; each evaluation starts from the rates of the one before.  The
+    refinement stops with "tol" once the slope is at most SLOPE_TOL per
+    shot or a step would move log T by at most LOG_TEMP_TOL, with
+    "max_iter" after REFINE_MAX_ITER evaluations, and with "stalled" when
+    the slope does not change sign there.  A best grid point whose slope
+    is within SLOPE_TOL, or points out of the grid, is the estimate.
+    `iterations` counts the temperatures evaluated, grid included, and
+    `diagnostics["evaluations"]` the Newton iterations of every solve.
     """
     omegas = np.asarray(omegas, dtype=float)
     counts = _checked_counts(data, (omegas.size, 2))
     dark, clicks = counts[:, 0], counts[:, 1]
 
-    def fit_rates(log_temps, rates):
+    def profile(log_temps, rates):
+        log_temps = np.asarray(log_temps, dtype=float)
         pops = np.stack([readout.gibbs_populations(np.exp(t), omegas)
                          for t in log_temps])
-        return _fit_rates(dark, clicks, pops, rates)
+        rates, ll, iterations, settled = _fit_rates(dark, clicks, pops, rates)
+        slopes = _profile_slopes(dark, clicks, omegas, log_temps, pops, rates)
+        return rates, ll, slopes, iterations, settled
 
     grid = np.linspace(np.log(1e-6), np.log(100.0), 41)
-    rates, ll, iterations, settled = fit_rates(
+    rates, ll, slopes, iterations, settled = profile(
         grid, np.full((grid.size, 2), RATE_MAX / 2))
     evaluations = int(iterations.sum())
     i = int(np.argmax(ll))
-    rates = rates[i:i + 1]
-
-    def negative_profile(log_temp):
-        # each evaluation starts from the rates of the one before
-        nonlocal rates, settled, evaluations
-        rates, ll, iterations, settled = fit_rates([log_temp], rates)
-        evaluations += int(iterations[0])
-        return -ll[0]
-
-    outer = scipy.optimize.minimize_scalar(
-        negative_profile, method="bounded",
-        bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
-        options={"xatol": 1e-10, "maxiter": 500})
-    negative_profile(outer.x)
-    temp = float(np.exp(outer.x))
-    b0, b1 = (float(v) for v in rates[0])
-    stop_reason = _stop_reason(outer.status, 1)
-    if stop_reason == "tol" and not settled[0]:
+    log_temp, slope = float(grid[i]), float(slopes[i])
+    rates, settled = rates[i:i + 1], bool(settled[i])
+    # the neighbour the slope points to
+    j = i + 1 if slope > 0.0 else i - 1
+    refined = 0
+    if abs(slope) <= SLOPE_TOL or not 0 <= j < grid.size:
+        stop_reason = "tol"
+    elif (slopes[j] > 0.0) == (slope > 0.0):
+        stop_reason = "stalled"
+    else:
         stop_reason = "max_iter"
+        lo, hi = sorted((log_temp, float(grid[j])))
+        before, slope_before = float(grid[j]), float(slopes[j])
+        while refined < REFINE_MAX_ITER:
+            step = (-slope * (log_temp - before) / (slope - slope_before)
+                    if slope != slope_before else np.inf)
+            if not lo < log_temp + step < hi:
+                step = (lo + hi) / 2.0 - log_temp
+            if abs(step) <= LOG_TEMP_TOL:
+                stop_reason = "tol"
+                break
+            refined += 1
+            before, slope_before = log_temp, slope
+            log_temp += step
+            rates, _, new_slope, new_iterations, new_settled = profile(
+                [log_temp], rates)
+            evaluations += int(new_iterations[0])
+            slope, settled = float(new_slope[0]), bool(new_settled[0])
+            if slope > 0.0:
+                lo = log_temp
+            else:
+                hi = log_temp
+            if abs(slope) <= SLOPE_TOL:
+                stop_reason = "tol"
+                break
+    if stop_reason == "tol" and not settled:
+        stop_reason = "max_iter"
+    temp = float(np.exp(log_temp))
+    b0, b1 = (float(v) for v in rates[0])
     a = readout.gibbs_populations(temp, omegas)
     p_fit = (1.0 - b0) * a + b1 * (1.0 - a)
     return _fit_report({"temperature": temp, "b0": b0, "b1": b1},
                        np.stack([1.0 - p_fit, p_fit], axis=1), data,
-                       int(outer.nit), stop_reason,
+                       grid.size + refined, stop_reason,
                        {"populations": a, "predicted_click_probs": p_fit,
                         "evaluations": evaluations})

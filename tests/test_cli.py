@@ -311,20 +311,67 @@ def test_config_validation_direct():
     assert cfg.dim == 3 and cfg.grid == (10, 20)
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats takes longer to import than the rest of the program;
-    # compare against what numpy and scipy.optimize load on their own,
-    # which differs across scipy versions
-    script = (
-        "import sys, numpy, scipy.optimize\n"
-        "before = set(sys.modules)\n"
-        "import qudittomo.cli\n"
-        "added = set(sys.modules) - before\n"
-        "print(sorted(m for m in added if m.split('.')[:2] == ['scipy', 'stats']))\n")
-    # the fresh interpreter finds the package where this one does
-    env = dict(os.environ)
+def _package_env(**overrides):
+    """Environment in which a fresh interpreter finds this package."""
+    env = dict(os.environ, **overrides)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_loads_no_scipy():
+    script = (
+        "import sys\n"
+        "import qudittomo.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, check=True, env=env)
+                         text=True, check=True, env=_package_env())
     assert out.stdout.strip() == "[]"
+
+
+def test_commands_run_where_scipy_cannot_be_imported(tmp_path):
+    # a meta-path finder that fails every scipy import stands in for an
+    # environment without scipy
+    script = (
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError('scipy is unavailable')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "from qudittomo import cli\n"
+        "for argv in (['qst-compare', '--grid', '200', '--trials', '1'],\n"
+        "             ['qpt-models', '--grid', '300', '--trials', '1'],\n"
+        "             ['spam-fit'], ['completeness', '--dim', '2']):\n"
+        "    assert cli.main(argv + ['--out', argv[0] + '.out']) == 0, argv\n")
+    subprocess.run([sys.executable, "-c", script], capture_output=True,
+                   text=True, check=True, cwd=tmp_path, env=_package_env())
+    assert len(list(tmp_path.glob("*.out"))) == 4
+
+
+def test_qpt_models_at_d2_converges(tmp_path):
+    # the general calibration fit used to stall on this trial
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"omegas": [0.0, 4.0]}))
+    out = tmp_path / "qpt.csv"
+    assert run_main(["qpt-models", "--config", str(cfg), "--dim", "2",
+                     "--seed", "1", "--trials", "1", "--grid", "1000",
+                     "--out", str(out)]) == 0
+    assert run_main(["spam-fit", "--config", str(cfg), "--dim", "2", "--seed", "1",
+                     "--out", str(tmp_path / "spam.json")]) == 0
+    report = json.loads((tmp_path / "spam.json").read_text())
+    assert report["spam_general"]["converged"] and report["spam_gibbs"]["converged"]
+
+
+def test_qpt_output_does_not_depend_on_blas_threads(tmp_path):
+    outputs = []
+    for threads in ("1", "2"):
+        run_dir = tmp_path / threads
+        run_dir.mkdir()
+        subprocess.run(
+            [sys.executable, "-m", "qudittomo.cli", "qpt-models", "--trials", "2",
+             "--grid", "1000000", "--seed", "5", "--out", "qpt.csv"],
+            capture_output=True, check=True, cwd=run_dir,
+            env=_package_env(OPENBLAS_NUM_THREADS=threads))
+        outputs.append((run_dir / "qpt.csv").read_bytes())
+    assert outputs[0] == outputs[1]

@@ -7,10 +7,13 @@ behavior at fixed seeds.
 """
 
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
+import scipy.sparse.linalg
 import scipy.stats
 
 from qudittomo import protocols, qcore, readout, recon, sim
@@ -312,10 +315,17 @@ class TestStateFitReports:
         assert gap is not None and gap >= 0.0
 
     def test_rank_threshold_is_the_chi2_quantile(self):
-        for dim in (2, 3, 5):
-            dof = (dim * dim - 1) - (2 * dim - 2)
-            want = scipy.stats.chi2.ppf(recon.RANK_SIGNIFICANCE, dof)
-            assert recon._rank_threshold(dim) == want
+        # exact 0.95 quantiles of chi-squared with (d - 1)^2 degrees of
+        # freedom, computed with mpmath 1.3.0 at 40 digits
+        exact = {2: 3.8414588206941244691, 3: 9.4877290367811546009,
+                 4: 16.918977604620447059, 5: 26.296227604864236145,
+                 6: 37.652484133482774355, 7: 50.998460165710641649}
+        for dim, quantile in exact.items():
+            want = recon._rank_threshold(dim)
+            assert abs(want - quantile) <= 2 * math.ulp(quantile)
+            # scipy's quantile is itself up to 1.3 ulp from the exact one
+            oracle = scipy.stats.chi2.ppf(recon.RANK_SIGNIFICANCE, (dim - 1) ** 2)
+            assert abs(want - oracle) <= 2 * math.ulp(quantile)
             # the comparison is inclusive at the threshold
             pure = SimpleNamespace(log_likelihood=0.0, estimate=np.eye(dim))
             edge = SimpleNamespace(log_likelihood=want / 2)
@@ -592,6 +602,28 @@ class TestMleProcess:
         assert np.max(np.abs(tp - np.eye(dim))) <= 1e-12
         assert model.probabilities(start).min() > recon.PROB_FLOOR
 
+    @pytest.mark.parametrize("dim,shots,seed", [(2, 2_000, 61), (3, 100_000, 61),
+                                                (3, 10 ** 6, 62), (3, 40, 55)])
+    def test_least_squares_start_matches_lsqr(self, dim, shots, seed):
+        # lsqr also converges to the minimum-norm least-squares solution;
+        # at its default tolerances it stops up to 1e-5 short of it on
+        # the starved dataset, so it runs to convergence here
+        protocol = protocols.qpt_two_level(dim)
+        model = recon.build_measurement_model(protocol)
+        truth = qcore.choi_depolarize(
+            qcore.choi_from_unitary(qcore.haar_unitary(dim, qcore.make_rng(seed))),
+            0.02)
+        data = sim.run_protocol(protocol, truth, sim.NoiseConfig(), shots, seed=seed)
+        rows = np.repeat(data.shots > 0, model.n_outcomes)
+        x = scipy.sparse.linalg.lsqr(model.matrix[rows],
+                                     data.frequencies().ravel()[rows],
+                                     atol=0.0, btol=0.0, iter_lim=10_000)[0]
+        dd = dim * dim
+        oracle = ((1.0 - recon.START_MIX)
+                  * recon.project_cptp(x.view(complex).reshape(dd, dd))
+                  + recon.START_MIX * np.eye(dd) / dim)
+        assert np.max(np.abs(recon._process_start(data, model) - oracle)) <= 1e-8
+
     def test_true_spam_model_beats_ideal_model_on_noisy_data(self):
         noise = sim.NoiseConfig(gate_depol_p=0.001, spam=THERMAL_SPAM)
         protocol = protocols.qpt_two_level(3)
@@ -681,7 +713,10 @@ class TestCptpProjection:
             self.assert_kkt(raw, recon.project_cptp(raw))
 
 
-OMEGAS = {2: (0.0, 4.0), 3: (0.0, 4.0, 6.0), 5: (0.0, 4.0, 6.0, 7.0, 8.0)}
+OMEGAS = {2: (0.0, 4.0), 3: (0.0, 4.0, 6.0), 4: (0.0, 4.0, 6.0, 7.0),
+          5: (0.0, 4.0, 6.0, 7.0, 8.0)}
+# root seed of the calibration streams the command-line drivers would draw
+STREAM_SEED = 46000
 
 
 def calibration_noise(dim):
@@ -698,6 +733,93 @@ def exact_calibration(dim, shots=10 ** 6):
     data = sim.CountsDataset(tuple(c.label for c in circuits),
                              np.full(dim, float(shots)), probs * shots)
     return data, probs
+
+
+def calibration_stream(dim, trial):
+    """Calibration counts and level reads of one `qpt-models` trial.
+
+    Drawn as the command line draws them for this dimension at its
+    default SPAM and gate noise, from the root seed STREAM_SEED.
+    """
+    noise = calibration_noise(dim)
+    data = sim.run_protocol(
+        protocols.spam_calibration_circuits(dim), None, noise, 10 ** 6,
+        seed=qcore.derive_seed(STREAM_SEED, "qpt-calibration", trial))
+    clicks = readout.level_reads(dim, 0.01, 0.02) @ noise.spam.populations
+    reads = sim.simulate_level_reads(
+        clicks, 10 ** 6, seed=qcore.derive_seed(STREAM_SEED, "qpt-level-reads", trial))
+    return data, reads
+
+
+def slsqp_general(data, gate_depol_p):
+    """Oracle of the general fit's max-tr B solve, by scipy's SLSQP.
+
+    Returns (populations, response, converged) at the solver's end, before
+    clipping.
+    """
+    counts = np.asarray(data.counts, dtype=float)
+    dim = counts.shape[0]
+    freq = counts / counts.sum(axis=1)[:, None]
+    maps, offsets = recon._calibration_maps(dim, gate_depol_p)
+    dmaps = maps[:, :, 1:] - maps[:, :, :1]
+
+    def response(x):
+        a = np.concatenate([[1.0 - x.sum()], x])
+        vinv = np.linalg.inv((maps @ a + offsets).T)
+        return freq.T @ vinv, vinv
+
+    def negative_trace(x):
+        b, vinv = response(x)
+        return -np.trace(b), np.einsum("km,jmi,jk->i", b, dmaps, vinv)
+
+    def response_jacobian(x):
+        b, vinv = response(x)
+        return -np.einsum("km,jmi,jl->kli", b, dmaps, vinv).reshape(dim * dim, -1)
+
+    res = scipy.optimize.minimize(
+        negative_trace, np.zeros(dim - 1), jac=True, method="SLSQP",
+        bounds=[(0.0, 1.0)] * (dim - 1),
+        constraints=[
+            {"type": "ineq", "fun": lambda x: response(x)[0].ravel(),
+             "jac": response_jacobian},
+            {"type": "ineq", "fun": lambda x: np.array([1.0 - x.sum()]),
+             "jac": lambda x: -np.ones((1, dim - 1))}],
+        options={"ftol": 1e-12, "maxiter": 200})
+    return (np.concatenate([[1.0 - res.x.sum()], res.x]), response(res.x)[0],
+            res.status == 0)
+
+
+def brent_gibbs(data, omegas):
+    """Oracle of the thermal fit: bounded Brent on the profile in log T.
+
+    Searches the same grid bracket as `estimate_spam_gibbs`; returns
+    (T, b0, b1).
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    counts = np.asarray(data.counts, dtype=float)
+    dark, clicks = counts[:, 0], counts[:, 1]
+
+    def fit_rates(log_temps, rates):
+        pops = np.stack([readout.gibbs_populations(np.exp(t), omegas)
+                         for t in log_temps])
+        return recon._fit_rates(dark, clicks, pops, rates)
+
+    grid = np.linspace(np.log(1e-6), np.log(100.0), 41)
+    rates, ll, _, _ = fit_rates(grid, np.full((grid.size, 2), recon.RATE_MAX / 2))
+    i = int(np.argmax(ll))
+    rates = rates[i:i + 1]
+
+    def negative_profile(log_temp):
+        nonlocal rates
+        rates, ll, _, _ = fit_rates([log_temp], rates)
+        return -ll[0]
+
+    outer = scipy.optimize.minimize_scalar(
+        negative_profile, method="bounded",
+        bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
+        options={"xatol": 1e-10, "maxiter": 500})
+    negative_profile(outer.x)
+    return float(np.exp(outer.x)), float(rates[0, 0]), float(rates[0, 1])
 
 
 def calibration_transfer(populations, gate_depol_p, dim):
@@ -814,6 +936,41 @@ class TestSpamGeneral:
         assert feasible >= 10
         again = recon.estimate_spam_general(data, gate_depol_p=0.001)
         assert json.dumps(again.to_dict()) == json.dumps(report.to_dict())
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_calibration_streams_converge(self, dim):
+        # SLSQP stalled on 21 of these 40 calibrations at d = 2
+        for trial in range(40):
+            data, _ = calibration_stream(dim, trial)
+            report = recon.estimate_spam_general(data, gate_depol_p=0.001)
+            if report.diagnostics["branch"] == "closed_form":
+                assert report.converged, (trial, report.diagnostics["stop_reason"])
+
+    @pytest.mark.parametrize("dim,shots,trial", [(4, 1_000, 0), (5, 10_000, 4)])
+    def test_starved_streams_do_not_raise(self, dim, shots, trial):
+        # SLSQP stepped onto a singular transfer matrix on these and
+        # raised LinAlgError
+        data = sim.run_protocol(protocols.spam_calibration_circuits(dim), None,
+                                calibration_noise(dim), shots,
+                                seed=qcore.derive_seed(1, "qpt-calibration", trial))
+        report = recon.estimate_spam_general(data, gate_depol_p=0.001)
+        assert report.converged
+        json.dumps(report.to_dict(), allow_nan=False)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_matches_the_slsqp_oracle(self, dim):
+        compared = 0
+        for trial in range(10):
+            data, _ = calibration_stream(dim, trial)
+            report = recon.estimate_spam_general(data, gate_depol_p=0.001)
+            a, b, converged = slsqp_general(data, 0.001)
+            if not converged:
+                continue
+            compared += 1
+            assert report.converged
+            assert np.trace(report.estimate.response) >= np.trace(b) - 1e-9
+            assert np.max(np.abs(report.estimate.populations - a)) <= 1e-8
+        assert compared >= 3
 
     def test_zero_count_cell_takes_the_fallback(self):
         data, _ = exact_calibration(3, shots=10 ** 4)
@@ -937,6 +1094,30 @@ class TestSpamGibbs:
         oracle = gibbs_grid_oracle(np.asarray(reads.counts, dtype=float),
                                    (0.0, 4.0, 6.0))
         assert report.log_likelihood >= oracle - 1e-9
+
+    @pytest.mark.parametrize("dim", [3, 5])
+    def test_matches_the_brent_oracle(self, dim):
+        # Brent compares profile values, which are flat to rounding within
+        # about 2e-8 of the maximum in log T, so it locates the maximum
+        # only that well (up to 3.7e-7 relative in b0 on these streams);
+        # the slope at the fit's own estimate vanishes to rounding
+        for trial in range(5):
+            _, reads = calibration_stream(dim, trial)
+            report = recon.estimate_spam_gibbs(reads, OMEGAS[dim])
+            est = report.estimate
+            temp, b0, b1 = brent_gibbs(reads, OMEGAS[dim])
+            assert report.converged
+            assert abs(np.log(est["temperature"] / temp)) <= 1e-7
+            assert abs(est["b0"] / b0 - 1.0) <= 2e-6
+            assert abs(est["b1"] / b1 - 1.0) <= 2e-6
+            counts = np.asarray(reads.counts, dtype=float)
+            rates = np.array([[est["b0"], est["b1"]]])
+            pops = readout.gibbs_populations(est["temperature"],
+                                             np.asarray(OMEGAS[dim]))[None]
+            slope = recon._profile_slopes(counts[:, 0], counts[:, 1],
+                                          np.asarray(OMEGAS[dim]),
+                                          np.log([est["temperature"]]), pops, rates)
+            assert abs(slope[0]) <= 1e-11
 
     @pytest.mark.parametrize("dataset,corner", [("sampled", False),
                                                 ("boundary", False),
