@@ -7,12 +7,14 @@ A qutrit with thermal initialization (T=1) and noisy cascade readout
   response matrix from d population-transfer circuits.  Its maximizers
   form a flat set of dimension d - 1, of which the depolarizing gauge is
   one direction; the fit returns the member with the most faithful
-  readout (largest tr B) in closed form.  Its individual parameters are
-  therefore not identified, but its predicted probabilities are, so the
-  fit is judged by predictive residual;
+  readout (largest tr B), found by a log-barrier Newton path and
+  polished to a certified vertex of its constraints.  Its individual
+  parameters are therefore not identified, but its predicted
+  probabilities are, so the fit is judged by predictive residual;
 * the Gibbs fit estimates just (T, b0, b1) from single-level read
-  statistics by a profile likelihood.  This three-parameter family has
-  no gauge freedom, so the parameters themselves are recovered.
+  statistics by a profile likelihood.  At d >= 3 this three-parameter
+  family has no gauge freedom, so the parameters themselves are
+  recovered (at d = 2 they are not identified).
 
 Both fits are deterministic and take well under a second.
 """

@@ -21,7 +21,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +30,9 @@ from . import protocols, qcore, readout, recon, sim
 from .circuits import sequence_unitary
 
 WORKERS_ENV = "QUDITTOMO_MAX_WORKERS"
+# largest deviation of a squared basis overlap from 1/d that still
+# counts as mutually unbiased
+UNBIASED_ATOL = 1e-10
 
 CSV_HEADER = "experiment,label,dim,N,trial,infidelity"
 SUMMARY_HEADER = "label,N,q25,median,q75"
@@ -183,6 +185,8 @@ def _run_jobs(fn, jobs):
     cap = min(_worker_count(), len(jobs))
     if cap <= 1:
         return [fn(*job) for job in jobs]
+    # imported here: a run without a pool need not load it
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=cap) as pool:
         futures = [pool.submit(fn, *job) for job in jobs]
         return [f.result() for f in futures]
@@ -374,14 +378,14 @@ def run_spam_fits(config):
     return report
 
 
-def _pairwise_unbiased(protocol, atol=1e-10):
+def _pairwise_unbiased(protocol):
     """True when the measurement bases are pairwise mutually unbiased."""
     target = 1.0 / protocol.dim
     mats = [sequence_unitary(c.meas) for c in protocol.circuits]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             overlaps = np.abs(mats[i] @ qcore.dagger(mats[j])) ** 2
-            if np.max(np.abs(overlaps - target)) > atol:
+            if np.max(np.abs(overlaps - target)) > UNBIASED_ATOL:
                 return False
     return True
 

@@ -255,20 +255,18 @@ def mub_protocol(dim):
     return TomographyProtocol("qst", dim, tuple(circuits))
 
 
-def completeness_check(protocol, spam=None):
+def completeness_check(protocol):
     """Numerical informational completeness of a protocol.
 
     Returns (rank, complete): the numerical rank (relative tolerance
-    1e-8) of the real design matrix `matrix` of
-    `recon.build_measurement_model(protocol, spam)`, one row per outcome
+    1e-8) of the real design matrix `matrix` of the ideal-SPAM
+    `recon.build_measurement_model(protocol)`, one row per outcome
     (for 'qpt', of the operators rho_i^T (x) P_ik that act on the Choi
     matrix).  A protocol is complete when the rank reaches d^2 for states
-    or d^4 for processes.  `spam` optionally replaces the ideal
-    preparation and readout with a DiagonalSpamModel.  The operators are
-    Hermitian, so the real rows span a space of the same dimension as the
-    complex operators.
+    or d^4 for processes.  The operators are Hermitian, so the real rows
+    span a space of the same dimension as the complex operators.
     """
-    design = build_measurement_model(protocol, spam=spam).matrix
+    design = build_measurement_model(protocol).matrix
     svals = np.linalg.svd(design, compute_uv=False)
     rank = int(np.sum(svals > 1e-8 * svals[0]))
     target = protocol.dim ** 2 if protocol.kind == "qst" else protocol.dim ** 4

@@ -11,10 +11,10 @@ quantum tomography", Rehacek, Hradil, Knill & Lvovsky 2007).  Processes
 are fitted by accelerated (FISTA) projected gradient ascent on the Choi
 matrix, started at the projected least-squares estimate ("Projected
 least squares quantum process tomography", Surawy-Stepney, Kahn, Kueng
-& Guta 2022), which stops once a certified bound puts it within `tol`
-log-likelihood units of the maximum, or, where that bound does not
-apply (a probability on PROB_FLOOR), once a step gains little; no other
-stop counts as converged.  Its projection is the exact Euclidean
+& Guta 2022), which stops once a certified bound puts it within
+PROCESS_TOL log-likelihood units of the maximum, or, where that bound
+does not apply (a probability on PROB_FLOOR), once a step gains little;
+no other stop counts as converged.  Its projection is the exact Euclidean
 projection onto the CPTP set, computed by a Newton solve for a d x d
 Lagrange multiplier of the trace-preservation constraint.  SPAM
 calibration parameters come from structured solves: a closed form for
@@ -35,8 +35,8 @@ depolarizing factor between preparation and readout
 (`readout.gauge_transform`) is one direction of that set; only the
 predicted probabilities are identified, not (a, B) themselves.
 `estimate_spam_general` returns the member of the set with the largest
-tr B.  The thermally constrained fit has no flat direction, which is
-what makes it useful.
+tr B.  The thermally constrained fit has no flat direction at d >= 3,
+which is what makes it useful; at d = 2 it is not identified either.
 """
 
 import functools
@@ -72,11 +72,16 @@ SLOPE_TOL = 1e-12
 LOG_TEMP_TOL = 1e-10
 REFINE_MAX_ITER = 100
 # stop rules of the CPTP projection (residual max|Tr_out J - I|, Newton
-# steps) and of the EM readout fit (per-shot gain, iterations)
+# steps), the EM readout fit and the state fits (per-shot gain,
+# iterations), and the process fit (`_optimality_gap`, iterations)
 CPTP_TOL = 1e-12
 CPTP_MAX_ITER = 50
 EM_TOL = 1e-12
 EM_MAX_ITER = 10000
+STATE_TOL = 1e-10
+STATE_MAX_ITER = 10000
+PROCESS_TOL = 0.5
+PROCESS_MAX_ITER = 10000
 # log-barrier path of the general calibration fit: the first barrier
 # weight, its growth per centering and the weight past which the path
 # ends; a centering stops at half a squared Newton decrement of
@@ -253,6 +258,30 @@ def _hermitian_sum(model, w):
     return (s + qcore.dagger(s)) / 2
 
 
+def _optimality_gap(g, x, p, counts, dim_in):
+    """Certified bound on ll* - ll at a feasible `x`, or None on PROB_FLOOR.
+
+    `x` is a Choi matrix (positive, Tr_out x = I) with a `dim_in`-dimensional
+    input: a process, or at dim_in = 1 a state.  ll = sum_n c_n log p_n with
+    p_n = Tr(A_n x) is concave with gradient G = `g` = sum_n (c_n / p_n) A_n,
+    and Tr(G x) = N shots, so for any Hermitian L and feasible y,
+    ll(y) - ll <= Tr(G y) - N <= Tr L + dim_in lambda_max(G - L (x) I) - N
+    ("Convex Optimization", Boyd & Vandenberghe 2004, ch. 5).  L is the
+    Hermitian part of Tr_out(G x), which makes the bound 0 at the maximum,
+    and the result is floored at 0.  Tr(G x) = N needs every p_n unclipped,
+    so while one of `p` sits on PROB_FLOOR the result is None.
+    """
+    if p.min() <= PROB_FLOOR:
+        return None
+    d_out = x.shape[0] // dim_in
+    lam = np.einsum("iaja->ij", (g @ x).reshape(dim_in, d_out, dim_in, d_out))
+    lam = (lam + qcore.dagger(lam)) / 2
+    # L (x) I by broadcasting: the products of np.kron, at less overhead
+    shift = (lam[:, None, :, None] * np.eye(d_out)[None, :, None, :]).reshape(x.shape)
+    top = np.linalg.eigvalsh(g - shift)[-1]
+    return max(float(lam.trace().real + dim_in * top - counts.sum()), 0.0)
+
+
 def _fit_report(estimate, probs, data, iterations, stop_reason, diagnostics):
     """FitReport of an estimate that predicts the outcome table `probs`.
 
@@ -270,25 +299,25 @@ def _fit_report(estimate, probs, data, iterations, stop_reason, diagnostics):
                      diagnostics={**diagnostics, "stop_reason": stop_reason})
 
 
-def _diluted_ascent(model, counts, x, probs_of, candidate, mix, tol, max_iter,
-                    early_stop=None):
+def _diluted_ascent(model, counts, x, probs_of, candidate, mix, early_stop=None):
     """Diluted fixed-point ascent of the log-likelihood sum_n c_n log p_n.
 
     Each iteration forms R = sum_n (c_n / p_n) A_n at the iterate x, the
     fixed-point image `candidate(R, x)`, and the step `mix(step, cand, x)`
     from step = 1 - DILUTION, halved while it would lower the likelihood,
     so the trace is non-decreasing.  Stops with "tol" when the gain drops
-    below `tol` per shot, "stalled" when no halved step ascends,
+    below STATE_TOL per shot, "stalled" when no halved step ascends,
     "pure_kept" when `early_stop(iteration, R, x, p, ll)` is true, or
-    "max_iter".  Returns (x, p, trace, iterations, stop_reason).
+    "max_iter" after STATE_MAX_ITER iterations.  Returns (x, p, trace,
+    iterations, stop_reason).
     """
-    min_gain = tol * max(counts.sum(), 1.0)
+    min_gain = STATE_TOL * max(counts.sum(), 1.0)
     p = probs_of(x)
     ll = float(counts @ np.log(p))
     trace = [ll]
     stop_reason = "max_iter"
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, STATE_MAX_ITER + 1):
         r = _hermitian_sum(model, counts / p)
         if early_stop is not None and early_stop(iterations, r, x, p, ll):
             stop_reason = "pure_kept"
@@ -315,7 +344,7 @@ def _diluted_ascent(model, counts, x, probs_of, candidate, mix, tol, max_iter,
     return x, p, trace, iterations, stop_reason
 
 
-def mle_state(data, model, tol=1e-10, max_iter=10000, pure=None):
+def mle_state(data, model, pure=None):
     """Maximum-likelihood state estimate by the diluted R rho R iteration.
 
     Iterates rho <- (1 - DILUTION) * N[R rho R] + DILUTION * rho with
@@ -323,9 +352,9 @@ def mle_state(data, model, tol=1e-10, max_iter=10000, pure=None):
     (Rehacek, Hradil, Knill & Lvovsky 2007).  If a step would lower the
     log-likelihood the update is pulled toward the current iterate until
     it does not, so the likelihood trace is non-decreasing.  Stops with
-    `stop_reason` "tol" when the gain drops below `tol` per shot,
-    "stalled" when no pulled-back step ascends, or "max_iter"; only "tol"
-    counts as converged.
+    `stop_reason` "tol" when the gain drops below STATE_TOL per shot,
+    "stalled" when no pulled-back step ascends, or "max_iter" after
+    STATE_MAX_ITER iterations; only "tol" counts as converged.
 
     The model takes the gates as ideal unless it was built with
     `gate_depol_p`.  So at large N the ideal-gate fit of the deep MUB
@@ -335,35 +364,24 @@ def mle_state(data, model, tol=1e-10, max_iter=10000, pure=None):
     curve.  The large-N crossover of the two protocols measures
     robustness to that unmodelled noise.
 
-    By concavity every iterate bounds the maximum log-likelihood:
-    ll* <= ll + lambda_max(R) - Tr(R rho), valid when no probability is
-    clipped at PROB_FLOOR.  `diagnostics["gap_bound"]` holds that gap at
-    the returned estimate (None when a probability is clipped).
+    `diagnostics["gap_bound"]` holds `_optimality_gap` at the estimate.
 
     Early rank decision: given `pure`, the `mle_state_pure` report of the
-    same data, the fit stops ("pure_kept", not converged) as soon as the
-    bound proves that `select_rank(full, pure)` keeps `pure`, checked
-    every 4th iteration.  The check does not change the iterates, so a
+    same data, the fit stops ("pure_kept", not converged) as soon as
+    `_optimality_gap` proves that `select_rank(full, pure)` keeps `pure`,
+    checked every 4th iteration.  The check does not change the iterates, so a
     fit that is not stopped early returns the same bytes as without
     `pure`, and `select_rank` returns the same pure report as after a
     full run.
     """
     counts = _fit_counts(data, model, "qst")
-    early_stop = None
-    if pure is not None:
-        threshold = _rank_threshold(model.dim)
 
-        def early_stop(iteration, r, rho, p, ll):
-            nonlocal threshold
-            if threshold is None or iteration % 4 != 1:
-                return False
-            if not _keeps_pure(ll, pure.log_likelihood, threshold):
-                # ll never falls, so from here on no bound can pass
-                threshold = None
-                return False
-            return (p.min() > PROB_FLOOR
-                    and _keeps_pure(ll + _gap_bound(r, rho), pure.log_likelihood,
-                                    threshold))
+    def early_stop(iteration, r, rho, p, ll):
+        # ll never falls: once it fails the rank test, no bound can pass
+        if pure is None or iteration % 4 != 1 or not _keeps_pure(ll, pure):
+            return False
+        gap = _optimality_gap(r, rho, p, counts, 1)
+        return gap is not None and _keeps_pure(ll + gap, pure)
 
     def candidate(r, rho):
         cand = r @ rho @ r
@@ -373,26 +391,18 @@ def mle_state(data, model, tol=1e-10, max_iter=10000, pure=None):
     rho, p, trace, iterations, stop_reason = _diluted_ascent(
         model, counts, np.eye(model.dim, dtype=complex) / model.dim,
         functools.partial(_floored_probs, model), candidate,
-        lambda step, cand, rho: step * cand + (1.0 - step) * rho,
-        tol, max_iter, early_stop)
-    gap = None
-    if p.min() > PROB_FLOOR:
-        gap = _gap_bound(_hermitian_sum(model, counts / p), rho)
+        lambda step, cand, rho: step * cand + (1.0 - step) * rho, early_stop)
+    gap = _optimality_gap(_hermitian_sum(model, counts / p), rho, p, counts, 1)
     return _fit_report(rho, model.probabilities(rho), data, iterations,
                        stop_reason, {"loglik_trace": np.asarray(trace),
                                      "gap_bound": gap})
-
-
-def _gap_bound(r, rho):
-    """lambda_max(R) - Tr(R rho), floored at 0: a bound on ll* - ll at rho."""
-    return max(float(np.linalg.eigvalsh(r)[-1]) - (r @ rho).trace().real, 0.0)
 
 
 def _unit(v):
     return v / np.linalg.norm(v)
 
 
-def mle_state_pure(data, model, tol=1e-10, max_iter=10000):
+def mle_state_pure(data, model):
     """Rank-1 restriction of `mle_state`: the estimate is a pure state.
 
     Iterates psi <- normalize((1 - DILUTION) * normalize(R psi)
@@ -410,8 +420,7 @@ def mle_state_pure(data, model, tol=1e-10, max_iter=10000):
         model, counts, vecs[:, -1],
         lambda v: _floored_probs(model, np.outer(v, v.conj())),
         lambda r, v: _unit(r @ v),
-        lambda step, cand, v: _unit(step * cand + (1.0 - step) * v),
-        tol, max_iter)
+        lambda step, cand, v: _unit(step * cand + (1.0 - step) * v))
     rho = np.outer(psi, psi.conj())
     return _fit_report(rho, model.probabilities(rho), data, iterations,
                        stop_reason, {"loglik_trace": np.asarray(trace),
@@ -463,8 +472,10 @@ def _rank_threshold(dim):
     return min((lo, hi), key=lambda x: abs(_chi2_tail(x, dof) - tail))
 
 
-def _keeps_pure(ll_full, ll_pure, threshold):
-    return 2.0 * (ll_full - ll_pure) <= threshold
+def _keeps_pure(ll_full, pure):
+    """Whether the rank test keeps `pure` against a full fit at `ll_full`."""
+    threshold = _rank_threshold(pure.estimate.shape[0])
+    return 2.0 * (ll_full - pure.log_likelihood) <= threshold
 
 
 def select_rank(full, pure):
@@ -481,14 +492,9 @@ def select_rank(full, pure):
     `full` may come from `mle_state(..., pure=pure)`: when that fit
     stopped early ("pure_kept") its likelihood is below the certified
     bound that passed this same test, so `pure` is returned, exactly as
-    after a full run.  The dimension is that of the pure estimate, and
-    the threshold is computed once per dimension and shared with that
-    early stop.
+    after a full run.  The threshold is computed once per dimension.
     """
-    threshold = _rank_threshold(pure.estimate.shape[0])
-    if _keeps_pure(full.log_likelihood, pure.log_likelihood, threshold):
-        return pure
-    return full
+    return pure if _keeps_pure(full.log_likelihood, pure) else full
 
 
 def project_cptp(choi):
@@ -560,7 +566,7 @@ def project_cptp(choi):
     return (j + qcore.dagger(j)) / 2
 
 
-def mle_process(data, model, tol=0.5, max_iter=10000):
+def mle_process(data, model):
     """Maximum-likelihood Choi-matrix estimate by accelerated projected ascent.
 
     Ascends the log-likelihood sum_ik n_ik log Tr(J A_ik) by FISTA
@@ -570,34 +576,30 @@ def mle_process(data, model, tol=0.5, max_iter=10000):
     least-squares estimate (`_process_start`): the minimum-norm
     least-squares solution of A x ~ f for the frequencies f of the
     circuits that got shots, projected onto the CPTP set and mixed with
-    START_MIX of I/d so that no probability starts on PROB_FLOOR.  Each iteration takes a
-    projected gradient step from the extrapolated point Y, halving the
-    step until the likelihood at the result Z lies above the quadratic model
-    ll(Y) + <G, Z - Y> - N |Z - Y|^2 / (2 step), with G the gradient
-    and N the number of shots; the step persists between iterations,
-    starts at 0.3 and grows by 1.2 after each step that passes.  The
-    momentum restarts (O'Donoghue & Candes 2015) when the extrapolated
-    point has a probability at or below PROB_FLOOR, and when a step from
-    it would lower the likelihood, which is then not taken; a step from
-    the iterate itself ascends in exact arithmetic, so the likelihood
-    falls only by rounding.
+    START_MIX of I/d so that no probability starts on PROB_FLOOR.  Each
+    iteration takes a projected gradient step from the extrapolated point
+    Y, halving the step until the likelihood at the result Z lies above
+    the quadratic model ll(Y) + <G, Z - Y> - N |Z - Y|^2 / (2 step), with
+    G the gradient and N the number of shots; the step persists between
+    iterations, starts at 0.3 and grows by 1.2 after each step that
+    passes.  The momentum restarts (O'Donoghue & Candes 2015) when the
+    extrapolated point has a probability at or below PROB_FLOOR, and when
+    a step from it would lower the likelihood, which is then not taken; a
+    step from the iterate itself ascends in exact arithmetic, so the
+    likelihood falls only by rounding.
 
-    By concavity every feasible iterate bounds the maximum likelihood:
-    with G = sum_ik (n_ik / p_ik) A_ik and any Hermitian L,
-    ll* <= ll + Tr L + d * lambda_max(G - L (x) I) - N.
-    Every 5 iterations the fit evaluates that gap for L the Hermitian
-    part of Tr_out(G J) and stops with `stop_reason` "tol" once it is at
-    most `tol` log-likelihood units.  The bound does not apply while a
-    probability sits on PROB_FLOOR, as on exact data from a channel with
+    Every 5 iterations the fit evaluates the certified `_optimality_gap`
+    and stops with `stop_reason` "tol" once it is at most PROCESS_TOL
+    log-likelihood units.  The bound does not apply while a probability
+    sits on PROB_FLOOR, as on exact data from a channel with
     zero-probability outcomes; there the fit instead stops with "tol"
     when a step gains less than FLOOR_GAIN per shot.  Otherwise it stops
-    with "stalled" when no step passes the model test, or "max_iter";
-    only "tol" counts as converged.
+    with "stalled" when no step passes the model test, or "max_iter"
+    after PROCESS_MAX_ITER iterations; only "tol" counts as converged.
 
-    `diagnostics["gap_bound"]` holds the gap at the returned estimate
-    (None when a probability is clipped); `diagnostics` also reports the
-    estimate's trace-preservation residual max|Tr_out J - I|
-    (`tp_residual`) and smallest eigenvalue (`min_eigenvalue`).
+    `diagnostics` holds `_optimality_gap` (`gap_bound`), the
+    trace-preservation residual max|Tr_out J - I| (`tp_residual`) and the
+    smallest eigenvalue (`min_eigenvalue`) of the returned estimate.
     """
     counts = _fit_counts(data, model, "qpt")
     dim = model.dim
@@ -615,7 +617,7 @@ def mle_process(data, model, tol=0.5, max_iter=10000):
     step = 0.3
     stop_reason = "max_iter"
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, PROCESS_MAX_ITER + 1):
         grad = _hermitian_sum(model, counts / p_y) / scale
         while step >= 1e-12:
             cand = project_cptp(y + step * grad)
@@ -640,16 +642,18 @@ def mle_process(data, model, tol=0.5, max_iter=10000):
             if gain < FLOOR_GAIN * scale:
                 stop_reason = "tol"
                 break
-        elif iterations % 5 == 0 and _process_gap(model, counts, choi, p) <= tol:
-            stop_reason = "tol"
-            break
+        elif iterations % 5 == 0:
+            g = _hermitian_sum(model, counts / p)
+            if _optimality_gap(g, choi, p, counts, dim) <= PROCESS_TOL:
+                stop_reason = "tol"
+                break
         next_momentum = (1.0 + np.sqrt(1.0 + 4.0 * momentum ** 2)) / 2.0
         y = choi + ((momentum - 1.0) / next_momentum) * (choi - previous)
         momentum = next_momentum
         p_y = _floored_probs(model, y)
         if p_y.min() <= PROB_FLOOR:
             y, p_y, momentum = choi, p, 1.0
-    gap = _process_gap(model, counts, choi, p) if p.min() > PROB_FLOOR else None
+    gap = _optimality_gap(_hermitian_sum(model, counts / p), choi, p, counts, dim)
     tp_residual = np.abs(qcore.choi_output_trace(choi) - np.eye(dim)).max()
     return _fit_report(choi, model.probabilities(choi), data, iterations,
                        stop_reason,
@@ -702,16 +706,6 @@ def _least_squares(a, b):
         gamma, previous = float(s @ s), gamma
         p = s + (gamma / previous) * p
     return x
-
-
-def _process_gap(model, counts, choi, p):
-    """Certified bound on ll* - ll at the CPTP Choi matrix `choi`."""
-    dim = model.dim
-    g = _hermitian_sum(model, counts / p)
-    lam = qcore.choi_output_trace(g @ choi)
-    lam = (lam + qcore.dagger(lam)) / 2
-    top = np.linalg.eigvalsh(g - np.kron(lam, np.eye(dim)))[-1]
-    return max(float(lam.trace().real + dim * top - counts.sum()), 0.0)
 
 
 def _calibration_maps(dim, gate_depol_p):
@@ -1000,8 +994,9 @@ def _fit_rates(dark, clicks, populations, rates):
     by RATE_GAIN.  A full unclipped step so bounded is taken without the
     test, whose rise rounding hides, so that the rates, and the profile
     slope `estimate_spam_gibbs` computes from them, are exact to rounding.
-    A row stops once a step gains at most RATE_GAIN per shot.  Returns the rates, the per-shot log-likelihoods, the Newton
-    iterations per row and whether each row stopped on its gain.
+    A row stops once a step gains at most RATE_GAIN per shot.  Returns
+    the rates, the per-shot log-likelihoods, the Newton iterations per
+    row and whether each row stopped on its gain.
     """
     n_total = dark.sum() + clicks.sum()
 
@@ -1087,7 +1082,10 @@ def estimate_spam_gibbs(data, omegas):
     `data` holds binary counts (no-click, click) per level from
     `simulate_level_reads`; the click probability of level j is
     (1 - b0) a_j + b1 (1 - a_j) with thermal populations a(T).  Unlike the
-    general diagonal fit this three-parameter family has no gauge freedom.
+    general diagonal fit this three-parameter family has no gauge freedom
+    at d >= 3.  At d = 2 it is not identified (three parameters, two
+    binary frequencies): fits within 6e-11 in log-likelihood differed in T
+    by up to 1.6e5 relative.
 
     The fit maximizes the profile likelihood over T.  At fixed T the click
     probabilities are affine in (b0, b1), so the likelihood is concave on

@@ -297,6 +297,18 @@ def test_unconverged_process_fit_exits_with_code_3(tmp_path, monkeypatch, capsys
     assert f"{name} fit did not converge" in err and f"({reason}," in err
 
 
+def test_unconverged_state_fit_exits_with_code_3(tmp_path, monkeypatch, capsys):
+    # one iteration leaves both state fits at their cap, so the report the
+    # rank test selects has not converged
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    monkeypatch.setattr(recon, "STATE_MAX_ITER", 1)
+    assert run_main(["qst-compare", "--grid", "200", "--trials", "1",
+                     "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert ("state fit did not converge (max_iter, label=2-level, N=200, trial=0)"
+            in err)
+
+
 def test_config_validation_direct():
     with pytest.raises(cli.ConfigError):
         cli.ExperimentConfig(experiment="nonsense")
@@ -327,6 +339,16 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True, env=_package_env())
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # the pool is imported only where QUDITTOMO_MAX_WORKERS asks for one
+    script = ("import sys\n"
+              "import qudittomo.cli\n"
+              "print('concurrent.futures.process' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, env=_package_env())
+    assert out.stdout.strip() == "False"
 
 
 def test_commands_run_where_scipy_cannot_be_imported(tmp_path):

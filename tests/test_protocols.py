@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qudittomo import protocols, qcore, readout
+from qudittomo import protocols, qcore
 from qudittomo.circuits import GateSequence, TwoLevelGate, sequence_unitary
 from qudittomo.protocols import (
     MeasurementCircuit,
@@ -190,13 +190,6 @@ def test_completeness_rank_is_capped():
         assert rank <= dim ** 2
         rank, _ = completeness_check(qpt_two_level(dim))
         assert rank <= dim ** 4
-
-
-def test_completeness_under_noisy_spam():
-    spam = readout.gibbs_cascade_model(3, 1.0, np.array([0.0, 4.0, 6.0]),
-                                       0.01, 0.02)
-    rank, complete = completeness_check(qst_two_level(3), spam=spam)
-    assert (rank, complete) == (9, True)
 
 
 def test_protocol_validation():

@@ -141,16 +141,18 @@ class TestMeasurementModel:
 
 class TestLikelihoodFitInputs:
     @pytest.mark.parametrize("fit", ["mle_state", "mle_state_pure", "mle_process"])
-    def test_bad_inputs_are_rejected(self, fit):
+    def test_bad_inputs_are_rejected(self, fit, monkeypatch):
         # a model of the other kind, circuits out of order, and no counts
         qst, qpt = protocols.qst_two_level(2), protocols.qpt_two_level(2)
         protocol, other = (qpt, qst) if fit == "mle_process" else (qst, qpt)
         truth = (qcore.choi_from_unitary(np.eye(2)) if fit == "mle_process"
                  else np.eye(2) / 2)
+        monkeypatch.setattr(recon, "PROCESS_MAX_ITER" if fit == "mle_process"
+                            else "STATE_MAX_ITER", 2)
         fit = getattr(recon, fit)
         model = recon.build_measurement_model(protocol)
         data = sim.run_protocol(protocol, truth, sim.NoiseConfig(), 2_000, seed=0)
-        assert fit(data, model, max_iter=2).iterations == 2
+        assert fit(data, model).iterations == 2
         with pytest.raises(ValueError, match=f"{protocol.kind!r} model"):
             fit(data, recon.build_measurement_model(other))
         reversed_labels = sim.CountsDataset(data.labels[::-1], data.shots,
@@ -258,7 +260,7 @@ class TestPureStateFit:
         assert np.max(np.abs(w[:-1])) < 1e-10
         qcore.check_density_matrix(report.estimate)
 
-    def test_restricted_likelihood_never_beats_full(self):
+    def test_restricted_likelihood_never_beats_full(self, monkeypatch):
         # nesting holds at the optima; the full fit runs at a tight
         # tolerance so its stopping error does not mask the inequality
         protocol = protocols.qst_two_level(3)
@@ -272,7 +274,9 @@ class TestPureStateFit:
                 protocol, truth, sim.NoiseConfig(),
                 int(rng.integers(500, 20_000)),
                 seed=qcore.derive_seed(603, "nested-data", trial))
-            full = recon.mle_state(data, model, tol=1e-13)
+            with monkeypatch.context() as tight:
+                tight.setattr(recon, "STATE_TOL", 1e-13)
+                full = recon.mle_state(data, model)
             pure = recon.mle_state_pure(data, model)
             assert pure.log_likelihood <= full.log_likelihood + 1e-6
 
@@ -298,8 +302,42 @@ class TestPureStateFit:
         assert recon.select_rank(full, pure) is full
 
 
+class TestRankDeficientStates:
+    @pytest.mark.parametrize("dim,rank", [(2, 1), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("build", [protocols.qst_two_level,
+                                       protocols.mub_protocol],
+                             ids=["two_level", "mub"])
+    def test_exact_counts(self, build, dim, rank):
+        # exact counts make the truth the maximum-likelihood state, on the
+        # boundary of the state set
+        protocol = build(dim)
+        model = recon.build_measurement_model(protocol)
+        vecs = qcore.haar_unitary(dim, qcore.make_rng(611, "rank-deficient", dim))
+        weights = (1.0,) if rank == 1 else (0.7, 0.3)
+        truth = sum(w * qcore.projector(vecs[:, k]) for k, w in enumerate(weights))
+        data = exact_dataset(protocol, truth, sim.NoiseConfig())
+        full = recon.mle_state(data, model)
+        pure = recon.mle_state_pure(data, model)
+        qcore.check_density_matrix(full.estimate)
+        # the full fit approaches a boundary maximum slowly and stops up to
+        # 4e-4 short of it in infidelity
+        assert qcore.fidelity(full.estimate, truth, check=False) >= 1.0 - 1e-3
+        gap = full.diagnostics["gap_bound"]
+        floored = model.probabilities(full.estimate).min() <= recon.PROB_FLOOR
+        assert (gap is None) == floored
+        if gap is not None:
+            counts = np.asarray(data.counts, dtype=float).ravel()
+            best = float(counts @ np.log(np.maximum(
+                model.probabilities(truth).ravel(), recon.PROB_FLOOR)))
+            assert best <= full.log_likelihood + gap + 1e-3
+        assert pure.converged
+        if rank == 1:
+            assert recon.select_rank(full, pure) is pure
+            assert qcore.fidelity(pure.estimate, truth, check=False) >= 1.0 - 1e-8
+
+
 class TestStateFitReports:
-    def test_stop_reason_sets_converged(self):
+    def test_stop_reason_sets_converged(self, monkeypatch):
         protocol = protocols.qst_two_level(3)
         model = recon.build_measurement_model(protocol)
         truth = qcore.depolarize(
@@ -308,11 +346,32 @@ class TestStateFitReports:
         for fit in (recon.mle_state, recon.mle_state_pure):
             done = fit(data, model)
             assert done.converged and done.diagnostics["stop_reason"] == "tol"
-            cut = fit(data, model, max_iter=3)
+            with monkeypatch.context() as short:
+                short.setattr(recon, "STATE_MAX_ITER", 3)
+                cut = fit(data, model)
             assert cut.iterations == 3 and not cut.converged
             assert cut.diagnostics["stop_reason"] == "max_iter"
         gap = recon.mle_state(data, model).diagnostics["gap_bound"]
         assert gap is not None and gap >= 0.0
+
+    def test_stall_is_not_converged(self, monkeypatch):
+        # probabilities that fall by a factor 1000 after the start: no
+        # pulled-back step can ascend
+        protocol = protocols.qst_two_level(3)
+        model = recon.build_measurement_model(protocol)
+        data = sim.run_protocol(protocol, np.eye(3) / 3, sim.NoiseConfig(), 5_000,
+                                seed=44)
+        floored = recon._floored_probs
+        calls = []
+
+        def falling(model, x):
+            calls.append(x)
+            return floored(model, x) * (1.0 if len(calls) == 1 else 1e-3)
+
+        monkeypatch.setattr(recon, "_floored_probs", falling)
+        report = recon.mle_state(data, model)
+        assert report.diagnostics["stop_reason"] == "stalled"
+        assert not report.converged and report.iterations == 1
 
     def test_rank_threshold_is_the_chi2_quantile(self):
         # exact 0.95 quantiles of chi-squared with (d - 1)^2 degrees of
@@ -378,7 +437,7 @@ class TestEarlyRankDecision:
         assert early_stops > 0
         assert 0 < sum(decisions) < len(decisions)
 
-    def test_bound_covers_a_tight_fit(self):
+    def test_bound_covers_a_tight_fit(self, monkeypatch):
         # every iterate's ll + gap bounds the best attainable likelihood
         for dim, build, n_shots, depol in ((2, protocols.qst_two_level, 1_000, 0.0),
                                            (3, protocols.qst_two_level, 100_000, 0.05),
@@ -391,9 +450,13 @@ class TestEarlyRankDecision:
                                      depol)
             data = sim.run_protocol(protocol, truth, sim.NoiseConfig(), n_shots,
                                     seed=qcore.derive_seed(605, "bound-data", dim))
-            best = recon.mle_state(data, model, tol=1e-13).log_likelihood
+            with monkeypatch.context() as tight:
+                tight.setattr(recon, "STATE_TOL", 1e-13)
+                best = recon.mle_state(data, model).log_likelihood
             for k in (1, 2, 5, 20, 100, 400):
-                cut = recon.mle_state(data, model, max_iter=k)
+                with monkeypatch.context() as short:
+                    short.setattr(recon, "STATE_MAX_ITER", k)
+                    cut = recon.mle_state(data, model)
                 gap = cut.diagnostics["gap_bound"]
                 assert gap is not None
                 assert cut.log_likelihood + gap >= best - 1e-6
@@ -421,21 +484,22 @@ class TestEarlyRankDecision:
             assert early.iterations == plain.iterations
             assert np.array_equal(early.estimate, plain.estimate)
 
-    def test_zero_count_cells_keep_the_decision(self):
+    def test_zero_count_cells_keep_the_decision(self, monkeypatch):
         # a basis-state truth leaves zero-count cells whose probabilities
         # the tight fit drives below PROB_FLOOR; a stop may fire only from
         # an unclipped iterate, and the selection is that of a full run
+        monkeypatch.setattr(recon, "STATE_TOL", 1e-13)
         for build in (protocols.qst_two_level, protocols.mub_protocol):
             protocol = build(3)
             model = recon.build_measurement_model(protocol)
             data = exact_dataset(protocol, qcore.projector(qcore.ket(0, 3)),
                                  sim.NoiseConfig(), shots=10 ** 4)
             assert np.any(data.counts == 0)
-            pure = recon.mle_state_pure(data, model, tol=1e-13)
-            plain = recon.mle_state(data, model, tol=1e-13)
+            pure = recon.mle_state_pure(data, model)
+            plain = recon.mle_state(data, model)
             assert model.probabilities(plain.estimate).min() <= recon.PROB_FLOOR
             assert plain.diagnostics["gap_bound"] is None
-            early = recon.mle_state(data, model, tol=1e-13, pure=pure)
+            early = recon.mle_state(data, model, pure=pure)
             assert early.diagnostics["stop_reason"] == "pure_kept"
             assert model.probabilities(early.estimate).min() > recon.PROB_FLOOR
             assert early.diagnostics["gap_bound"] is not None
@@ -479,7 +543,7 @@ class TestMleProcess:
             report = recon.mle_process(data, model)
             qcore.check_choi(report.estimate, atol_tp=1e-6)
 
-    def test_report_gives_stop_reason_and_feasibility(self):
+    def test_report_gives_stop_reason_and_feasibility(self, monkeypatch):
         protocol = protocols.qpt_two_level(3)
         model = recon.build_measurement_model(protocol)
         truth = qcore.choi_from_unitary(np.eye(3))
@@ -496,13 +560,14 @@ class TestMleProcess:
         # the iteration cap is checked on sampled data
         sampled = sim.run_protocol(protocol, qcore.choi_depolarize(truth, 0.05),
                                    sim.NoiseConfig(), 10 ** 5, seed=56)
-        short = recon.mle_process(sampled, model, max_iter=3)
+        monkeypatch.setattr(recon, "PROCESS_MAX_ITER", 3)
+        short = recon.mle_process(sampled, model)
         assert short.diagnostics["stop_reason"] == "max_iter"
         assert not short.converged and short.iterations == 3
 
     @pytest.mark.parametrize("dim,shots,seed", [(2, 2_000, 52), (2, 20_000, 53),
                                                 (3, 100_000, 54)])
-    def test_gap_bound_covers_a_tight_refit(self, dim, shots, seed):
+    def test_gap_bound_covers_a_tight_refit(self, dim, shots, seed, monkeypatch):
         protocol = protocols.qpt_two_level(dim)
         model = recon.build_measurement_model(protocol)
         truth = qcore.choi_depolarize(
@@ -510,7 +575,8 @@ class TestMleProcess:
             0.05)
         data = sim.run_protocol(protocol, truth, sim.NoiseConfig(), shots, seed=seed)
         report = recon.mle_process(data, model)
-        tight = recon.mle_process(data, model, tol=1e-3)
+        monkeypatch.setattr(recon, "PROCESS_TOL", 1e-3)
+        tight = recon.mle_process(data, model)
         gap = report.diagnostics["gap_bound"]
         assert gap is not None and gap <= 1e-4 * data.counts.sum()
         assert tight.log_likelihood - report.log_likelihood <= gap
@@ -519,18 +585,20 @@ class TestMleProcess:
     @pytest.mark.parametrize("dim,shots,seed,tol", [(2, 5_000, 56, 0.5),
                                                     (3, 10 ** 6, 57, 0.5),
                                                     (3, 100_000, 58, 0.05)])
-    def test_tol_stop_certifies_its_gap(self, dim, shots, seed, tol):
+    def test_tol_stop_certifies_its_gap(self, dim, shots, seed, tol, monkeypatch):
         protocol = protocols.qpt_two_level(dim)
         model = recon.build_measurement_model(protocol)
         truth = qcore.choi_depolarize(
             qcore.choi_from_unitary(qcore.haar_unitary(dim, qcore.make_rng(seed))),
             0.02)
         data = sim.run_protocol(protocol, truth, sim.NoiseConfig(), shots, seed=seed)
-        report = recon.mle_process(data, model, tol=tol)
+        monkeypatch.setattr(recon, "PROCESS_TOL", tol)
+        report = recon.mle_process(data, model)
         gap = report.diagnostics["gap_bound"]
         assert report.diagnostics["stop_reason"] == "tol" and report.converged
         assert gap is not None and gap <= tol
-        refit = recon.mle_process(data, model, tol=1e-3)
+        monkeypatch.setattr(recon, "PROCESS_TOL", 1e-3)
+        refit = recon.mle_process(data, model)
         assert refit.log_likelihood - report.log_likelihood <= gap
 
     def test_d5_fit_certifies_and_is_cptp(self):
@@ -645,6 +713,28 @@ class TestCptpProjection:
         out = recon.project_cptp(choi)
         assert np.max(np.abs(out - choi)) < 1e-8
 
+    @pytest.mark.parametrize("trial", [22, 26])
+    def test_a_solve_without_progress_stops_before_its_cap(self, trial,
+                                                           monkeypatch):
+        # eigenvalues spread over 24 decades: rounding leaves no step that
+        # passes either test, so the solve stops short of trace
+        # preservation, on its positive part
+        rng = qcore.make_rng(608, "cptp-spread", trial)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4))
+                            + 1j * rng.standard_normal((4, 4)))
+        w = rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-12, 12, 4)
+        g = (q * w) @ qcore.dagger(q)
+        g = (g + qcore.dagger(g)) / 2
+        out = recon.project_cptp(g)
+        assert np.all(np.isfinite(out))
+        eig = np.linalg.eigvalsh(out)
+        assert eig[0] >= -1e-12 * eig[-1]
+        tp = qcore.choi_output_trace(out)
+        assert np.max(np.abs(tp - np.eye(2))) > recon.CPTP_TOL
+        # a solve stopped by its cap would go on under a larger one
+        monkeypatch.setattr(recon, "CPTP_MAX_ITER", 10 * recon.CPTP_MAX_ITER)
+        assert np.array_equal(recon.project_cptp(g), out)
+
     def test_random_hermitian_projects_to_cptp(self):
         for trial in range(20):
             rng = qcore.make_rng(605, "project", trial)
@@ -704,13 +794,16 @@ class TestCptpProjection:
             self.assert_kkt(g, recon.project_cptp(g))
 
     def test_raw_hermitian_inputs_meet_the_kkt_conditions(self):
-        for trial in range(6):
-            rng = qcore.make_rng(607, "kkt-raw", trial)
-            dim = (2, 3, 5)[trial % 3]
-            raw = rng.standard_normal((dim * dim, dim * dim))
-            raw = raw + 1j * rng.standard_normal((dim * dim, dim * dim))
-            raw = (raw + qcore.dagger(raw)) / 2
-            self.assert_kkt(raw, recon.project_cptp(raw))
+        # at ten times the scale a full Newton step can fail both step
+        # tests (trial 1), so that solve backtracks
+        for scale in (1.0, 10.0):
+            for trial in range(6):
+                rng = qcore.make_rng(607, "kkt-raw", trial)
+                dim = (2, 3, 5)[trial % 3]
+                raw = rng.standard_normal((dim * dim, dim * dim))
+                raw = raw + 1j * rng.standard_normal((dim * dim, dim * dim))
+                raw = scale * (raw + qcore.dagger(raw)) / 2
+                self.assert_kkt(raw, recon.project_cptp(raw))
 
 
 OMEGAS = {2: (0.0, 4.0), 3: (0.0, 4.0, 6.0), 4: (0.0, 4.0, 6.0, 7.0),
@@ -972,11 +1065,16 @@ class TestSpamGeneral:
             assert np.max(np.abs(report.estimate.populations - a)) <= 1e-8
         assert compared >= 3
 
-    def test_zero_count_cell_takes_the_fallback(self):
+    @staticmethod
+    def zero_count_calibration():
         data, _ = exact_calibration(3, shots=10 ** 4)
         counts = np.round(data.counts)
         counts[1, 2] = 0.0  # after flip (0,1) outcome 2 was never seen
-        data = sim.CountsDataset(data.labels, counts.sum(axis=1), counts)
+        return sim.CountsDataset(data.labels, counts.sum(axis=1), counts)
+
+    def test_zero_count_cell_takes_the_fallback(self):
+        data = self.zero_count_calibration()
+        counts = data.counts
         report = recon.estimate_spam_general(data, gate_depol_p=0.001)
         diag = report.diagnostics
         assert diag["branch"] == "fallback" and diag["min_response"] < -1e-9
@@ -995,6 +1093,29 @@ class TestSpamGeneral:
             other = rng.dirichlet(np.ones(3), size=3).T
             t = 10 ** rng.uniform(-4, -1)
             assert loglik((1 - t) * fit.response + t * other) <= loglik(fit.response) + 1e-6
+
+    def test_fallback_at_its_cap_is_not_converged(self, monkeypatch):
+        monkeypatch.setattr(recon, "EM_MAX_ITER", 1)
+        report = recon.estimate_spam_general(self.zero_count_calibration(),
+                                             gate_depol_p=0.001)
+        assert report.diagnostics["branch"] == "fallback"
+        assert report.diagnostics["stop_reason"] == "max_iter"
+        assert not report.converged
+
+    @pytest.mark.parametrize("settings", [
+        # the path ends after its first centering, before a vertex certifies
+        {"BARRIER_T_MAX": recon.BARRIER_T0},
+        # one centering at a weight so large that rounding soon leaves no
+        # step that passes the line search
+        {"BARRIER_T0": 1e20, "BARRIER_T_MAX": 1e20}], ids=["path_end", "no_step"])
+    def test_uncertified_path_is_stalled(self, settings, monkeypatch):
+        data, _ = calibration_stream(5, 0)
+        for name, value in settings.items():
+            monkeypatch.setattr(recon, name, value)
+        report = recon.estimate_spam_general(data, gate_depol_p=0.001)
+        assert report.diagnostics["branch"] == "closed_form"
+        assert report.diagnostics["stop_reason"] == "stalled"
+        assert not report.converged
 
     @pytest.mark.parametrize("shots, seed", [(2, 94), (30, 95)])
     def test_starved_data_is_reported(self, shots, seed):
@@ -1153,6 +1274,26 @@ class TestSpamGibbs:
                              np.where(rates >= recon.RATE_MAX,
                                       np.maximum(-grad, 0.0), np.abs(grad)))
         assert violation.max() <= 1e-7
+
+    def test_flat_profile_is_stalled(self):
+        # ten reads, every one of level 0 a click and none of level 2: the
+        # profile is flat to rounding toward T = 0, and the slope at the best
+        # grid point does not change sign at its neighbour
+        data = sim.CountsDataset(("read0", "read1", "read2"), np.array([4, 3, 3]),
+                                 np.array([[0, 4], [2, 1], [3, 0]]))
+        report = recon.estimate_spam_gibbs(data, np.array([0.0, 4.0, 6.0]))
+        assert report.diagnostics["stop_reason"] == "stalled"
+        assert not report.converged
+
+    def test_unsettled_rates_are_max_iter(self, monkeypatch):
+        # reads that click half the time on every level put the best point
+        # at the grid's end, unrefined, with rates one Newton step old
+        data = sim.CountsDataset(("read0", "read1", "read2"), np.full(3, 1000),
+                                 np.full((3, 2), 500))
+        monkeypatch.setattr(recon, "RATE_MAX_ITER", 1)
+        report = recon.estimate_spam_gibbs(data, np.array([0.0, 4.0, 6.0]))
+        assert report.diagnostics["stop_reason"] == "max_iter"
+        assert not report.converged
 
     def test_rejects_empty_data(self):
         zero = sim.CountsDataset(("read0", "read1", "read2"),
