@@ -32,11 +32,13 @@ spam = readout.gibbs_cascade_model(3, 1.0, OMEGAS, B0, B1)
 noise = sim.NoiseConfig(gate_depol_p=0.001, spam=spam)
 
 # --- general diagonal fit --------------------------------------------
-circuits = protocols.spam_calibration_circuits(3)
-data = sim.run_protocol(circuits, None, noise, SHOTS, seed=12)
+# the calibration circuits are a process-tomography protocol; a None
+# truth runs them on the identity channel, measuring the prepared states
+calibration = protocols.spam_calibration_circuits(3)
+data = sim.run_protocol(calibration, None, noise, SHOTS, seed=12)
 fit = recon.estimate_spam_general(data, gate_depol_p=noise.gate_depol_p)
 
-true_probs = sim.outcome_probabilities(circuits, None, noise)
+true_probs = sim.outcome_probabilities(calibration, None, noise)
 predicted = np.asarray(fit.diagnostics["predicted_probs"])
 print("general diagonal fit")
 print(f"  fitted populations: {np.round(fit.estimate.populations, 4)}")

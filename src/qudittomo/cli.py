@@ -11,8 +11,10 @@ by `truth_depol_p`, every gate by `gate_depol_p`; `qpt-models` and
 level energies `omegas` and cascade readout with rates (b0, b1), the
 `readout.gibbs_cascade_model` that "SPAM errors model 2" fits.
 `qst-compare` simulates ideal SPAM.  Every output file embeds the resolved
-configuration and root seed, so a rerun with the same inputs is byte
-identical.  Set QUDITTOMO_MAX_WORKERS to run trials in parallel.
+configuration and root seed, so at a fixed BLAS thread count a rerun
+with the same inputs is byte identical (the d = 5 process fit rounds
+differently at another thread count).  Set QUDITTOMO_MAX_WORKERS to run
+trials in parallel; the worker count changes no byte.
 """
 
 import argparse
@@ -37,17 +39,16 @@ UNBIASED_ATOL = 1e-10
 CSV_HEADER = "experiment,label,dim,N,trial,infidelity"
 SUMMARY_HEADER = "label,N,q25,median,q75"
 
-_COMMAND_EXPERIMENTS = {
-    "qst-compare": "qst_compare",
-    "qpt-models": "qpt_models",
-    "spam-fit": "spam_fit",
-    "completeness": "completeness",
-}
-_DEFAULT_OUT = {
-    "qst_compare": "qst_compare.csv",
-    "qpt_models": "qpt_models.csv",
-    "spam_fit": "spam_fit.json",
-    "completeness": "",
+# command: (experiment, default output path, help)
+COMMANDS = {
+    "qst-compare": ("qst_compare", "qst_compare.csv",
+                    "compare 2-level and MUB state tomography over a sample-size grid"),
+    "qpt-models": ("qpt_models", "qpt_models.csv",
+                   "compare process-tomography models with and without SPAM corrections"),
+    "spam-fit": ("spam_fit", "spam_fit.json",
+                 "fit the calibration models to synthetic calibration data"),
+    "completeness": ("completeness", "",
+                     "report protocol sizes, gate counts and design-matrix ranks"),
 }
 
 
@@ -78,7 +79,7 @@ class ExperimentConfig:
     out: str = ""
 
     def __post_init__(self):
-        if self.experiment not in _COMMAND_EXPERIMENTS.values():
+        if self.experiment not in [entry[0] for entry in COMMANDS.values()]:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         try:
             for name in ("dim", "trials", "calibration_shots", "seed"):
@@ -144,11 +145,10 @@ def load_config(command, args):
     unknown = sorted(set(raw) - allowed)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    experiment = raw.get("experiment", _COMMAND_EXPERIMENTS[command])
-    if experiment != _COMMAND_EXPERIMENTS[command]:
-        raise ConfigError(f"experiment {experiment!r} does not belong to "
-                          f"command {command!r}")
-    raw["experiment"] = experiment
+    experiment, default_out, _ = COMMANDS[command]
+    if raw.setdefault("experiment", experiment) != experiment:
+        raise ConfigError(f"experiment {raw['experiment']!r} does not belong "
+                          f"to command {command!r}")
     for name in ("dim", "trials", "seed", "out"):
         value = getattr(args, name)
         if value is not None:
@@ -156,7 +156,7 @@ def load_config(command, args):
     if args.grid is not None:
         raw["grid"] = _parse_grid(args.grid)
     if not raw.get("out"):
-        raw["out"] = _DEFAULT_OUT[experiment]
+        raw["out"] = default_out
     try:
         return ExperimentConfig(**raw)
     except ConfigError:
@@ -482,17 +482,7 @@ def _build_parser():
         prog="qudittomo",
         description="Seeded qudit tomography experiments with CSV/JSON output.")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = (
-        ("qst-compare",
-         "compare 2-level and MUB state tomography over a sample-size grid"),
-        ("qpt-models",
-         "compare process-tomography models with and without SPAM corrections"),
-        ("spam-fit",
-         "fit the calibration models to synthetic calibration data"),
-        ("completeness",
-         "report protocol sizes, gate counts and design-matrix ranks"),
-    )
-    for name, help_text in commands:
+    for name, (_, _, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--dim", type=int, help="qudit dimension")

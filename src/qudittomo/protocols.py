@@ -156,12 +156,14 @@ def qpt_two_level(dim):
     return TomographyProtocol("qpt", dim, tuple(circuits))
 
 
+@functools.cache
 def spam_calibration_circuits(dim):
     """Gate-free readout plus one population flip per level.
 
     Circuit 0 measures the initial state directly; circuit j applies a
     single R_x(pi) on levels (0, j) first.  These d circuits calibrate the
-    diagonal preparation-and-readout model.
+    diagonal preparation-and-readout model: a frozen 'qpt' protocol on
+    the identity channel, built once per dimension and shared.
     """
     if dim < 2:
         raise ValueError(f"dimension must be at least 2, got {dim}")
@@ -169,7 +171,7 @@ def spam_calibration_circuits(dim):
     for j in range(1, dim):
         seq = GateSequence(dim, (TwoLevelGate("x", PI, (0, j)),))
         circuits.append(MeasurementCircuit(f"flip(0,{j})", seq, _empty(dim)))
-    return circuits
+    return TomographyProtocol("qpt", dim, tuple(circuits))
 
 
 def _is_prime(n):

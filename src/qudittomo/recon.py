@@ -595,11 +595,13 @@ def mle_process(data, model):
     zero-probability outcomes; there the fit instead stops with "tol"
     when a step gains less than FLOOR_GAIN per shot.  Otherwise it stops
     with "stalled" when no step passes the model test, or "max_iter"
-    after PROCESS_MAX_ITER iterations; only "tol" counts as converged.
+    after PROCESS_MAX_ITER iterations; any stop is "infeasible", with no
+    gap bound, when max|Tr_out J - I| exceeds `qcore.ATOL_TRACE_PRESERVING`.
+    Only "tol" counts as converged.
 
     `diagnostics` holds `_optimality_gap` (`gap_bound`), the
-    trace-preservation residual max|Tr_out J - I| (`tp_residual`) and the
-    smallest eigenvalue (`min_eigenvalue`) of the returned estimate.
+    trace-preservation residual (`tp_residual`) and the smallest
+    eigenvalue (`min_eigenvalue`) of the returned estimate.
     """
     counts = _fit_counts(data, model, "qpt")
     dim = model.dim
@@ -653,11 +655,14 @@ def mle_process(data, model):
         p_y = _floored_probs(model, y)
         if p_y.min() <= PROB_FLOOR:
             y, p_y, momentum = choi, p, 1.0
-    gap = _optimality_gap(_hermitian_sum(model, counts / p), choi, p, counts, dim)
-    tp_residual = np.abs(qcore.choi_output_trace(choi) - np.eye(dim)).max()
+    tp_residual = float(np.abs(qcore.choi_output_trace(choi) - np.eye(dim)).max())
+    # the bound, and so every stop above, assumes Tr_out J = I
+    feasible = tp_residual <= qcore.ATOL_TRACE_PRESERVING
+    gap = (_optimality_gap(_hermitian_sum(model, counts / p), choi, p, counts, dim)
+           if feasible else None)
     return _fit_report(choi, model.probabilities(choi), data, iterations,
-                       stop_reason,
-                       {"gap_bound": gap, "tp_residual": float(tp_residual),
+                       stop_reason if feasible else "infeasible",
+                       {"gap_bound": gap, "tp_residual": tp_residual,
                         "min_eigenvalue": float(np.linalg.eigvalsh(choi)[0])})
 
 
@@ -897,9 +902,10 @@ def _max_trace_response(evaluate, dim):
 def estimate_spam_general(data, gate_depol_p=0.0):
     """Fit the full diagonal preparation-and-readout model to calibration counts.
 
-    `data` holds counts of the `spam_calibration_circuits` family: circuit
-    0 is gate free, circuit j applies one R_x(pi) on levels (0, j), which
-    on a diagonal state swaps populations 0 <-> j.  Circuit j predicts
+    `data` holds counts of the `protocols.spam_calibration_circuits`
+    protocol ('qpt', run on the identity channel): circuit 0 is gate
+    free, circuit j applies one R_x(pi) on levels (0, j), which on a
+    diagonal state swaps populations 0 <-> j.  Circuit j predicts
     F_j = B v_j(a) with v_j affine in the populations a, so for any a the
     response B(a) = F^T V(a)^-1 reproduces the observed frequencies F
     exactly, and every a with a >= 0 and B(a) >= 0 maximizes the

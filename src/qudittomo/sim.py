@@ -1,4 +1,7 @@
-"""Noisy measurement simulation for tomography circuits.
+"""Noisy measurement simulation for tomography protocols.
+
+A protocol's kind says what its truth is: a state ('qst'), a Choi matrix
+('qpt'), or None for the identity channel, as in SPAM calibration.
 
 Every two-level gate is followed by a depolarizing channel of strength
 `gate_depol_p`.  Preparation and readout errors are one
@@ -22,7 +25,6 @@ import numpy as np
 
 from . import qcore, readout
 from .circuits import gate_unitary
-from .protocols import TomographyProtocol
 from .recon import build_measurement_model
 
 
@@ -114,37 +116,31 @@ def circuit_probabilities(circuit, truth, noise, check=True):
     return probs / probs.sum()
 
 
-def outcome_probabilities(circuits, truth, noise):
+def outcome_probabilities(protocol, truth, noise):
     """Outcome probability table (n_circuits, n_outcomes) under the noise model.
 
-    `truth` is None (the circuits measure the prepared state, as in
-    calibration: the identity channel after preparation), a d x d density
-    matrix that replaces preparation, or a d^2 x d^2 Choi matrix applied
-    after preparation.  The table is `build_measurement_model` of the
-    circuits under `noise.spam_model` and `noise.gate_depol_p`, applied
-    to the truth, then clipped at 0 and renormalized per circuit.
+    `protocol.kind` says what `truth` is: a d x d density matrix that
+    replaces preparation for 'qst', a d^2 x d^2 Choi matrix applied after
+    preparation for 'qpt', or None for the identity channel there (the
+    circuits measure the prepared states, as in calibration).  The table
+    is `build_measurement_model` of the protocol under `noise.spam_model`
+    and `noise.gate_depol_p`, applied to the truth, then clipped at 0 and
+    renormalized per circuit.
     """
-    circuits = tuple(circuits)
-    if not circuits:
+    if not protocol.circuits:
         raise ValueError("protocol has no circuits")
-    dim = circuits[0].dim
-    if truth is None:
-        kind, truth = "qpt", qcore.choi_from_unitary(np.eye(dim))
+    dim, kind = protocol.dim, protocol.kind
+    if truth is None and kind == "qpt":
+        truth = qcore.choi_from_unitary(np.eye(dim))
+    elif np.shape(truth) != ((dim, dim) if kind == "qst" else (dim * dim,) * 2):
+        raise ValueError(f"truth shape {np.shape(truth)} does not fit a {kind!r} "
+                         f"protocol in dimension {dim}")
+    elif kind == "qst":
+        qcore.check_density_matrix(np.asarray(truth, dtype=complex))
     else:
-        truth = np.asarray(truth, dtype=complex)
-        if truth.shape == (dim, dim):
-            qcore.check_density_matrix(truth)
-            kind = "qst"
-        elif truth.shape == (dim * dim, dim * dim):
-            qcore.check_choi(truth, atol_tp=1e-8)
-            kind = "qpt"
-        else:
-            raise ValueError(
-                f"truth shape {truth.shape} fits neither a state nor a Choi "
-                f"matrix in dimension {dim}")
-    model = build_measurement_model(
-        TomographyProtocol(kind, dim, circuits), spam=noise.spam_model(dim),
-        gate_depol_p=noise.gate_depol_p)
+        qcore.check_choi(np.asarray(truth, dtype=complex), atol_tp=1e-8)
+    model = build_measurement_model(protocol, spam=noise.spam_model(dim),
+                                    gate_depol_p=noise.gate_depol_p)
     probs = model.probabilities(truth)
     if probs.min() < -1e-12:
         raise ValueError(f"probability {probs.min()} below -1e-12; invalid inputs")
@@ -216,17 +212,14 @@ class CountsDataset:
 def run_protocol(protocol, truth, noise, total_shots, seed):
     """Simulate counts for every circuit of a protocol.
 
-    `protocol` is a TomographyProtocol or a plain circuit list; the counts
-    are multinomial draws from `outcome_probabilities(circuits, truth,
-    noise)`.  Sampling uses the child stream (seed, "counts", 0) and is
-    deterministic in the argument tuple.
+    The counts are multinomial draws from `outcome_probabilities(protocol,
+    truth, noise)`.  Sampling uses the child stream (seed, "counts", 0) and
+    is deterministic in the argument tuple.
     """
-    circuits = (protocol.circuits if isinstance(protocol, TomographyProtocol)
-                else tuple(protocol))
-    probs = outcome_probabilities(circuits, truth, noise)
-    shots = allocate_shots(total_shots, len(circuits))
+    probs = outcome_probabilities(protocol, truth, noise)
+    shots = allocate_shots(total_shots, len(protocol.circuits))
     counts = sample_counts(probs, shots, qcore.make_rng(seed, "counts"))
-    labels = tuple(c.label for c in circuits)
+    labels = tuple(c.label for c in protocol.circuits)
     return CountsDataset(labels, shots, counts)
 
 

@@ -109,13 +109,13 @@ def test_criterion_4_gibbs_fit_tolerances():
 
 def test_criterion_5_general_fit_predictive_accuracy():
     noise = sim.NoiseConfig(gate_depol_p=0.001, spam=SPAM)
-    circuits = protocols.spam_calibration_circuits(3)
-    data = sim.run_protocol(circuits, None, noise, 10 ** 6,
+    calibration = protocols.spam_calibration_circuits(3)
+    data = sim.run_protocol(calibration, None, noise, 10 ** 6,
                             seed=qcore.derive_seed(5, "accept-general"))
     fit = recon.estimate_spam_general(data, gate_depol_p=0.001)
     true_probs = np.stack([
         sim.circuit_probabilities(c, None, noise, check=False)
-        for c in circuits])
+        for c in calibration.circuits])
     predicted = np.asarray(fit.diagnostics["predicted_probs"])
     residual = float(np.max(np.abs(predicted - true_probs)))
 
@@ -205,7 +205,7 @@ def test_criterion_8_solver_self_consistency():
                     abs(est["b1"] - 0.02))
     assert gibbs_dev <= 1e-4
 
-    circuits = protocols.spam_calibration_circuits(3)
+    circuits = protocols.spam_calibration_circuits(3).circuits
     ideal_data = exact_dataset(circuits, None, sim.NoiseConfig(), 10 ** 6)
     fit = recon.estimate_spam_general(ideal_data)
     spam_dev = max(float(np.max(np.abs(fit.estimate.populations - [1, 0, 0]))),

@@ -95,6 +95,30 @@ def test_parallel_run_matches_sequential(tmp_path, monkeypatch):
     assert out.read_bytes() == sequential
 
 
+@pytest.mark.parametrize("argv", [
+    ["qst-compare", "--grid", "200", "--trials", "2", "--seed", "12"],
+    ["qpt-models", "--grid", "300", "--trials", "1", "--seed", "13"],
+    ["spam-fit", "--seed", "14"],
+], ids=["qst-compare", "qpt-models", "spam-fit"])
+def test_rerun_from_the_embedded_config_is_byte_identical(argv, tmp_path):
+    # the embedded config holds every setting, the output path included
+    out = tmp_path / "out"
+    assert run_main(argv + ["--out", str(out)]) == 0
+    paths = [out] if argv[0] == "spam-fit" else [out, cli.summary_path(out)]
+    first = [path.read_bytes() for path in paths]
+    if argv[0] == "spam-fit":
+        config = json.loads(first[0])["config"]
+    else:
+        comments, _, _ = read_csv_rows(out)
+        config = json.loads(comments[1].split("# config: ", 1)[1])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    for path in paths:
+        path.unlink()
+    assert run_main([argv[0], "--config", str(cfg)]) == 0
+    assert [path.read_bytes() for path in paths] == first
+
+
 def test_qpt_models_rerun_and_parallel_run_are_byte_identical(tmp_path,
                                                               monkeypatch):
     out = tmp_path / "qpt.csv"
@@ -295,6 +319,17 @@ def test_unconverged_process_fit_exits_with_code_3(tmp_path, monkeypatch, capsys
                      "--out", str(tmp_path / "x.csv")]) == 3
     err = capsys.readouterr().err
     assert f"{name} fit did not converge" in err and f"({reason}," in err
+
+
+def test_infeasible_process_fit_exits_with_code_3(tmp_path, monkeypatch, capsys):
+    # without Newton steps the projection leaves the estimate off the
+    # trace-preserving set, which the real process fit reports
+    monkeypatch.delenv(cli.WORKERS_ENV, raising=False)
+    monkeypatch.setattr(recon, "CPTP_MAX_ITER", 0)
+    assert run_main(["qpt-models", "--grid", "300", "--trials", "1",
+                     "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "process fit did not converge (infeasible," in err
 
 
 def test_unconverged_state_fit_exits_with_code_3(tmp_path, monkeypatch, capsys):

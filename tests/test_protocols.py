@@ -23,7 +23,7 @@ def basis_columns(circuit):
     return qcore.dagger(sequence_unitary(circuit.meas))
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
 def test_qst_circuit_count(dim):
     protocol = qst_two_level(dim)
     assert len(protocol) == 1 + dim * (dim - 1)
@@ -87,7 +87,7 @@ def test_qpt_circuit_count_and_depth():
 
 
 def test_calibration_circuits():
-    circuits = spam_calibration_circuits(3)
+    circuits = spam_calibration_circuits(3).circuits
     assert [c.gate_count for c in circuits] == [0, 1, 1]
     assert len(spam_calibration_circuits(2)) == 2
     # circuit j pumps the whole population from level 0 to level j
@@ -95,6 +95,14 @@ def test_calibration_circuits():
         u = sequence_unitary(c.prep)
         amp = abs((u @ qcore.ket(0, 3))[j]) ** 2
         assert abs(amp - 1.0) < 1e-12
+
+
+def test_calibration_family_is_a_cached_identity_channel_protocol():
+    protocol = spam_calibration_circuits(3)
+    assert protocol is spam_calibration_circuits(3)
+    assert protocol.kind == "qpt" and protocol.dim == 3
+    assert [c.label for c in protocol.circuits] == ["bare", "flip(0,1)", "flip(0,2)"]
+    assert all(len(c.meas) == 0 for c in protocol.circuits)
 
 
 def test_mub_bases_qubit():
@@ -154,12 +162,15 @@ def test_compile_rejects_non_unitary():
         mub_gate_compile(np.ones((3, 3)))
 
 
-def test_mub_protocol_shape():
-    protocol = mub_protocol(3)
-    assert len(protocol) == 4
+@pytest.mark.parametrize("dim", [2, 3, 5, 7])
+def test_mub_protocol_shape(dim):
+    # the deep baseline: its largest basis change takes 3 d(d-1)/2 gates,
+    # against at most one for the 2-level protocol at every d
+    protocol = mub_protocol(dim)
+    assert len(protocol) == dim + 1
     assert protocol.circuits[0].label == "comp"
     assert len(protocol.circuits[0].meas) == 0
-    assert max(c.gate_count for c in protocol.circuits) <= 9
+    assert max(c.gate_count for c in protocol.circuits) == 3 * dim * (dim - 1) // 2
 
 
 def test_mub_protocol_measures_mub_columns():

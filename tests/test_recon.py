@@ -118,17 +118,18 @@ class TestMeasurementModel:
                                               b / b.sum(axis=0, keepdims=True))
         noise = sim.NoiseConfig(gate_depol_p=gate_depol_p, spam=model)
         if truth_kind == "state":
-            circuits = (protocols.qst_two_level(dim).circuits
-                        + protocols.mub_protocol(dim).circuits[1:])
+            protocol = protocols.TomographyProtocol(
+                "qst", dim, protocols.qst_two_level(dim).circuits
+                + protocols.mub_protocol(dim).circuits[1:])
             truth = qcore.depolarize(
                 qcore.projector(qcore.haar_state(dim, rng)), 0.1)
         else:
-            circuits = protocols.qpt_two_level(dim).circuits
+            protocol = protocols.qpt_two_level(dim)
             truth = None if truth_kind == "none" else qcore.choi_depolarize(
                 qcore.choi_from_unitary(qcore.haar_unitary(dim, rng)), 0.1)
-        got = sim.outcome_probabilities(circuits, truth, noise)
+        got = sim.outcome_probabilities(protocol, truth, noise)
         want = np.stack([sim.circuit_probabilities(c, truth, noise)
-                         for c in circuits])
+                         for c in protocol.circuits])
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -564,6 +565,14 @@ class TestMleProcess:
         short = recon.mle_process(sampled, model)
         assert short.diagnostics["stop_reason"] == "max_iter"
         assert not short.converged and short.iterations == 3
+        # a projection that takes no Newton step leaves the iterates off
+        # the trace-preserving set, where the gap bound does not hold
+        monkeypatch.undo()
+        monkeypatch.setattr(recon, "CPTP_MAX_ITER", 0)
+        off = recon.mle_process(sampled, model)
+        assert off.diagnostics["stop_reason"] == "infeasible" and not off.converged
+        assert off.diagnostics["tp_residual"] > qcore.ATOL_TRACE_PRESERVING
+        assert off.diagnostics["gap_bound"] is None
 
     @pytest.mark.parametrize("dim,shots,seed", [(2, 2_000, 52), (2, 20_000, 53),
                                                 (3, 100_000, 54)])
@@ -819,7 +828,7 @@ def calibration_noise(dim):
 
 def exact_calibration(dim, shots=10 ** 6):
     """Calibration counts equal to shots times the exact probabilities."""
-    circuits = protocols.spam_calibration_circuits(dim)
+    circuits = protocols.spam_calibration_circuits(dim).circuits
     probs = np.stack([
         sim.circuit_probabilities(c, None, calibration_noise(dim), check=False)
         for c in circuits])
@@ -940,7 +949,7 @@ def calibration_probs(model, gate_depol_p, dim):
 
 class TestSpamGeneral:
     def test_exact_ideal_counts_recover_ideal_parameters(self):
-        circuits = protocols.spam_calibration_circuits(3)
+        circuits = protocols.spam_calibration_circuits(3).circuits
         probs = np.stack([sim.circuit_probabilities(c, None, sim.NoiseConfig())
                           for c in circuits])
         data = sim.CountsDataset(tuple(c.label for c in circuits),
@@ -951,12 +960,12 @@ class TestSpamGeneral:
 
     def test_noisy_scenario_predicts_probabilities(self):
         noise = sim.NoiseConfig(gate_depol_p=0.001, spam=THERMAL_SPAM)
-        circuits = protocols.spam_calibration_circuits(3)
-        data = sim.run_protocol(circuits, None, noise, 10 ** 6, seed=70)
+        calibration = protocols.spam_calibration_circuits(3)
+        data = sim.run_protocol(calibration, None, noise, 10 ** 6, seed=70)
         report = recon.estimate_spam_general(data, gate_depol_p=0.001)
         true_probs = np.stack([
             sim.circuit_probabilities(c, None, noise, check=False)
-            for c in circuits])
+            for c in calibration.circuits])
         predicted = np.asarray(report.diagnostics["predicted_probs"])
         assert np.max(np.abs(predicted - true_probs)) <= 0.01
         diag = report.diagnostics
@@ -1135,7 +1144,7 @@ class TestSpamGeneral:
         json.dumps(report.to_dict(), allow_nan=False)
 
     def test_rejects_degenerate_data(self):
-        circuits = protocols.spam_calibration_circuits(3)
+        circuits = protocols.spam_calibration_circuits(3).circuits
         labels = tuple(c.label for c in circuits)
         zero = sim.CountsDataset(labels, np.zeros(3, dtype=int),
                                  np.zeros((3, 3), dtype=int))

@@ -43,18 +43,18 @@ def random_noise_config(rng, dim):
 
 class TestPrepState:
     def test_bare_ideal_prep(self):
-        circuit = protocols.spam_calibration_circuits(3)[0]
+        circuit = protocols.spam_calibration_circuits(3).circuits[0]
         rho = sim.noisy_prep_state(circuit, sim.NoiseConfig())
         assert np.array_equal(rho, qcore.projector(qcore.ket(0, 3)))
 
     def test_noiseless_flip_moves_population(self):
-        circuit = protocols.spam_calibration_circuits(3)[1]
+        circuit = protocols.spam_calibration_circuits(3).circuits[1]
         rho = sim.noisy_prep_state(circuit, sim.NoiseConfig())
         assert abs(rho[1, 1].real - 1.0) < 1e-12
 
     def test_single_gate_depolarizing_cost(self):
         # one gate at strength p leaves fidelity 1 - p (1 - 1/d)
-        circuit = protocols.spam_calibration_circuits(3)[1]
+        circuit = protocols.spam_calibration_circuits(3).circuits[1]
         rho = sim.noisy_prep_state(circuit, sim.NoiseConfig(gate_depol_p=0.001))
         ideal = sim.noisy_prep_state(circuit, sim.NoiseConfig())
         assert abs(np.trace(rho).real - 1.0) < 1e-12
@@ -94,7 +94,7 @@ class TestCircuitProbabilities:
     def test_calibration_probabilities_match_matrix_oracle(self):
         # bare circuit: p = B a with thermal populations a and cascade rows B
         noise = sim.NoiseConfig(spam=THERMAL_SPAM)
-        circuit = protocols.spam_calibration_circuits(3)[0]
+        circuit = protocols.spam_calibration_circuits(3).circuits[0]
         p = sim.circuit_probabilities(circuit, None, noise)
         a = readout.gibbs_populations(1.0, np.array([0.0, 4.0, 6.0]))
         b = THERMAL_SPAM.response
@@ -236,12 +236,17 @@ class TestRunProtocol:
         other = sim.run_protocol(protocol, truth, noise, 10_000, seed=43)
         assert not np.array_equal(data.counts, other.counts)
 
-    def test_accepts_plain_circuit_lists(self):
-        circuits = protocols.spam_calibration_circuits(3)
-        noise = sim.NoiseConfig(spam=THERMAL_SPAM)
-        data = sim.run_protocol(circuits, None, noise, 3_000, seed=7)
-        assert data.labels == ("bare", "flip(0,1)", "flip(0,2)")
-        assert data.counts.shape == (3, 3)
+    def test_rejects_a_truth_that_does_not_fit_the_protocol(self):
+        qst, qpt = protocols.qst_two_level(3), protocols.qpt_two_level(3)
+        state = np.eye(3) / 3
+        choi = qcore.choi_from_unitary(np.eye(3))
+        for protocol, truth, shape in (
+                (qpt, state, r"\(3, 3\)"), (qst, choi, r"\(9, 9\)"),
+                (qst, None, r"\(\)"), (qst, np.eye(2) / 2, r"\(2, 2\)"),
+                (qpt, qcore.choi_from_unitary(np.eye(2)), r"\(4, 4\)")):
+            with pytest.raises(ValueError, match=f"{shape} does not fit a "
+                               f"'{protocol.kind}' protocol in dimension 3"):
+                sim.run_protocol(protocol, truth, sim.NoiseConfig(), 1_000, seed=7)
 
     def test_rejects_fewer_shots_than_circuits(self):
         protocol = protocols.qst_two_level(3)
@@ -319,9 +324,11 @@ class TestGaugeEndToEnd:
         model = readout.gibbs_cascade_model(3, 1.0, np.array([0.0, 4.0, 6.0]),
                                             0.01, 0.02)
         moved = readout.gauge_transform(model, 0.9 * 3 * model.populations.min())
-        circuits = protocols.qst_two_level(3).circuits
+        # the QST circuits measuring the prepared state: the identity channel
+        protocol = protocols.TomographyProtocol(
+            "qpt", 3, protocols.qst_two_level(3).circuits)
         noise_a = sim.NoiseConfig(gate_depol_p=0.001, spam=model)
         noise_b = sim.NoiseConfig(gate_depol_p=0.001, spam=moved)
-        data_a = sim.run_protocol(circuits, None, noise_a, 50_000, seed=19)
-        data_b = sim.run_protocol(circuits, None, noise_b, 50_000, seed=19)
+        data_a = sim.run_protocol(protocol, None, noise_a, 50_000, seed=19)
+        data_b = sim.run_protocol(protocol, None, noise_b, 50_000, seed=19)
         assert np.array_equal(data_a.counts, data_b.counts)
