@@ -1,4 +1,4 @@
-"""Two-level rotation gates and gate sequences on qudits.
+"""Two-level rotation gates on qudits.
 
 Rotation convention: R_axis(theta) = exp(-i theta sigma_axis / 2) embedded
 in the (j, k) level pair, identity elsewhere.  Explicitly, on the pair,
@@ -8,11 +8,11 @@ in the (j, k) level pair, identity elsewhere.  Explicitly, on the pair,
     R_x(theta) = [[cos(theta/2), -i sin(theta/2)],
                   [-i sin(theta/2), cos(theta/2)]]
 
-Sequences list gates in time order; the product unitary of [g1, .., gn] is
-U_n ... U_2 U_1.
+A circuit holds its gates as a tuple in time order; the product unitary
+of (g1, .., gn) is U_n ... U_2 U_1.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,26 +37,6 @@ class TwoLevelGate:
         object.__setattr__(self, "angle", float(self.angle))
 
 
-@dataclass(frozen=True)
-class GateSequence:
-    """Time-ordered gates acting in a fixed qudit dimension."""
-
-    dim: int
-    gates: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.dim}")
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            if g.levels[1] >= self.dim:
-                raise ValueError(
-                    f"gate on levels {g.levels} does not fit dimension {self.dim}")
-
-    def __len__(self):
-        return len(self.gates)
-
-
 def su2_rotation(axis, angle):
     """The 2 x 2 rotation block exp(-i angle sigma_axis / 2)."""
     c = np.cos(angle / 2.0)
@@ -79,11 +59,12 @@ def gate_unitary(gate, dim):
     return u
 
 
-def sequence_unitary(seq):
-    """Product unitary of the sequence, last gate leftmost."""
-    u = np.eye(seq.dim, dtype=complex)
-    for g in seq.gates:
-        u = gate_unitary(g, seq.dim) @ u
+def sequence_unitary(gates, dim):
+    """Product unitary of time-ordered `gates` on a qudit of dimension
+    `dim`, last gate leftmost."""
+    u = np.eye(dim, dtype=complex)
+    for g in gates:
+        u = gate_unitary(g, dim) @ u
     return u
 
 

@@ -381,7 +381,7 @@ def run_spam_fits(config):
 def _pairwise_unbiased(protocol):
     """True when the measurement bases are pairwise mutually unbiased."""
     target = 1.0 / protocol.dim
-    mats = [sequence_unitary(c.meas) for c in protocol.circuits]
+    mats = [sequence_unitary(c.meas, protocol.dim) for c in protocol.circuits]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             overlaps = np.abs(mats[i] @ qcore.dagger(mats[j])) ** 2
@@ -396,7 +396,7 @@ def run_completeness(config):
     report = {"experiment": config.experiment, "config": config.to_dict(),
               "seed": config.seed}
     qst = protocols.qst_two_level(dim)
-    rank, complete = protocols.completeness_check(qst)
+    rank, complete = recon.completeness_check(qst)
     counts = [c.gate_count for c in qst.circuits]
     report["qst"] = {
         "circuits": len(qst),
@@ -408,7 +408,7 @@ def run_completeness(config):
         "mub_equivalent": _pairwise_unbiased(qst),
     }
     qpt = protocols.qpt_two_level(dim)
-    rank, complete = protocols.completeness_check(qpt)
+    rank, complete = recon.completeness_check(qpt)
     counts = [c.gate_count for c in qpt.circuits]
     report["qpt"] = {
         "circuits": len(qpt),

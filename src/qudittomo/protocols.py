@@ -18,11 +18,9 @@ protocols here keep every circuit as shallow as possible:
 * Calibration circuits interleave nothing but population flips, exposing
   the diagonal preparation-and-readout error model.
 
-`completeness_check` verifies that a protocol determines its target (a
-state, or a process in Choi form) by the numerical rank of the real
-design matrix of the reconstruction's measurement model
-(`recon.build_measurement_model`), so it checks the same forward model
-that the simulator and the fits use.
+A circuit is plain data: a label, the qudit dimension, and tuples of
+preparation and measurement gates.  Whether a protocol determines its
+target is checked in `recon.completeness_check`, on the fits' own model.
 """
 
 import functools
@@ -31,28 +29,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qcore
-from .circuits import GateSequence, TwoLevelGate, euler_decompose
-from .recon import build_measurement_model
+from .circuits import TwoLevelGate, euler_decompose
 
 PI = np.pi
 
 
 @dataclass(frozen=True)
 class MeasurementCircuit:
-    """Preparation gates, measurement basis-change gates, and a label."""
+    """A label, the qudit dimension, and time-ordered tuples of
+    preparation gates and measurement basis-change gates."""
 
     label: str
-    prep: GateSequence
-    meas: GateSequence
+    dim: int
+    prep: tuple
+    meas: tuple
 
     def __post_init__(self):
-        if self.prep.dim != self.meas.dim:
-            raise ValueError(
-                f"prep dimension {self.prep.dim} != meas dimension {self.meas.dim}")
-
-    @property
-    def dim(self):
-        return self.prep.dim
+        if self.dim < 2:
+            raise ValueError(f"dimension must be at least 2, got {self.dim}")
+        object.__setattr__(self, "prep", tuple(self.prep))
+        object.__setattr__(self, "meas", tuple(self.meas))
+        for g in self.prep + self.meas:
+            if g.levels[1] >= self.dim:
+                raise ValueError(
+                    f"gate on levels {g.levels} does not fit dimension {self.dim}")
 
     @property
     def gate_count(self):
@@ -90,10 +90,6 @@ def level_pairs(dim):
     return [(j, k) for j in range(dim) for k in range(j + 1, dim)]
 
 
-def _empty(dim):
-    return GateSequence(dim)
-
-
 @functools.cache
 def qst_two_level(dim):
     """State tomography from two-level rotations.
@@ -103,20 +99,18 @@ def qst_two_level(dim):
     pair, 1 + d(d-1) circuits of at most one gate.  The protocol is built
     once per dimension and shared; it is frozen.
     """
-    if dim < 2:
-        raise ValueError(f"dimension must be at least 2, got {dim}")
-    circuits = [MeasurementCircuit("comp", _empty(dim), _empty(dim))]
+    circuits = [MeasurementCircuit("comp", dim, (), ())]
     for j, k in level_pairs(dim):
-        seq = GateSequence(dim, (TwoLevelGate("y", PI / 2, (j, k)),))
-        circuits.append(MeasurementCircuit(f"ry90({j},{k})", _empty(dim), seq))
+        gate = TwoLevelGate("y", PI / 2, (j, k))
+        circuits.append(MeasurementCircuit(f"ry90({j},{k})", dim, (), (gate,)))
     for j, k in level_pairs(dim):
-        seq = GateSequence(dim, (TwoLevelGate("x", 3 * PI / 2, (j, k)),))
-        circuits.append(MeasurementCircuit(f"rx270({j},{k})", _empty(dim), seq))
+        gate = TwoLevelGate("x", 3 * PI / 2, (j, k))
+        circuits.append(MeasurementCircuit(f"rx270({j},{k})", dim, (), (gate,)))
     return TomographyProtocol("qst", dim, tuple(circuits))
 
 
 def qpt_preparations(dim):
-    """The d^2 probe preparations as (label, GateSequence) pairs.
+    """The d^2 probe preparations as (label, gate tuple) pairs.
 
     For each base level m the bare flip |0> -> |m> (empty for m = 0), then
     half rotations R_y(pi/2) and R_x(3pi/2) from m to every higher level j.
@@ -131,12 +125,12 @@ def qpt_preparations(dim):
         else:
             base_gates = (TwoLevelGate("x", PI, (0, m)),)
             base_parts = [f"flip(0,{m})"]
-        preps.append(("+".join(base_parts) or "id", GateSequence(dim, base_gates)))
+        preps.append(("+".join(base_parts) or "id", base_gates))
         for axis, angle, tag in (("y", PI / 2, "ry90"), ("x", 3 * PI / 2, "rx270")):
             for j in range(m + 1, dim):
                 gates = base_gates + (TwoLevelGate(axis, angle, (m, j)),)
                 label = "+".join(base_parts + [f"{tag}({m},{j})"])
-                preps.append((label, GateSequence(dim, gates)))
+                preps.append((label, gates))
     return preps
 
 
@@ -149,10 +143,10 @@ def qpt_two_level(dim):
     """
     meas_circuits = qst_two_level(dim).circuits
     circuits = []
-    for prep_label, prep_seq in qpt_preparations(dim):
+    for prep_label, prep in qpt_preparations(dim):
         for mc in meas_circuits:
             circuits.append(MeasurementCircuit(
-                f"{prep_label}|{mc.label}", prep_seq, mc.meas))
+                f"{prep_label}|{mc.label}", dim, prep, mc.meas))
     return TomographyProtocol("qpt", dim, tuple(circuits))
 
 
@@ -165,12 +159,10 @@ def spam_calibration_circuits(dim):
     diagonal preparation-and-readout model: a frozen 'qpt' protocol on
     the identity channel, built once per dimension and shared.
     """
-    if dim < 2:
-        raise ValueError(f"dimension must be at least 2, got {dim}")
-    circuits = [MeasurementCircuit("bare", _empty(dim), _empty(dim))]
+    circuits = [MeasurementCircuit("bare", dim, (), ())]
     for j in range(1, dim):
-        seq = GateSequence(dim, (TwoLevelGate("x", PI, (0, j)),))
-        circuits.append(MeasurementCircuit(f"flip(0,{j})", seq, _empty(dim)))
+        gate = TwoLevelGate("x", PI, (0, j))
+        circuits.append(MeasurementCircuit(f"flip(0,{j})", dim, (gate,), ()))
     return TomographyProtocol("qpt", dim, tuple(circuits))
 
 
@@ -208,12 +200,12 @@ def mub_bases(dim):
 def mub_gate_compile(u):
     """Compile a basis-change unitary into two-level gates.
 
-    Returns a GateSequence whose product equals D u for some diagonal
-    phase matrix D (global phase included); since the readout effects are
-    diagonal, the compiled circuit reproduces the outcome probabilities of
-    u exactly.  Uses Givens-style elimination, one det-1 rotation per
-    eliminated entry, each split into at most three axis rotations, so at
-    most 3 d(d-1)/2 gates.
+    Returns a time-ordered tuple of gates whose product equals D u for
+    some diagonal phase matrix D (global phase included); since the
+    readout effects are diagonal, the compiled circuit reproduces the
+    outcome probabilities of u exactly.  Uses Givens-style elimination,
+    one det-1 rotation per eliminated entry, each split into at most three
+    axis rotations, so at most 3 d(d-1)/2 gates.
     """
     u = np.asarray(u, dtype=complex)
     if not qcore.is_unitary(u, 1e-10):
@@ -236,7 +228,7 @@ def mub_gate_compile(u):
             for axis, angle in (("x", alpha), ("y", beta), ("x", gamma)):
                 if abs(angle) > 1e-12:
                     gates.append(TwoLevelGate(axis, angle, (c, r)))
-    return GateSequence(dim, tuple(gates))
+    return tuple(gates)
 
 
 @functools.cache
@@ -252,24 +244,7 @@ def mub_protocol(dim):
     circuits = []
     for idx, v in enumerate(mub_bases(dim)):
         label = "comp" if idx == 0 else f"mub{idx}"
-        seq = mub_gate_compile(qcore.dagger(v))
-        circuits.append(MeasurementCircuit(label, _empty(dim), seq))
+        meas = mub_gate_compile(qcore.dagger(v))
+        circuits.append(MeasurementCircuit(label, dim, (), meas))
     return TomographyProtocol("qst", dim, tuple(circuits))
 
-
-def completeness_check(protocol):
-    """Numerical informational completeness of a protocol.
-
-    Returns (rank, complete): the numerical rank (relative tolerance
-    1e-8) of the real design matrix `matrix` of the ideal-SPAM
-    `recon.build_measurement_model(protocol)`, one row per outcome
-    (for 'qpt', of the operators rho_i^T (x) P_ik that act on the Choi
-    matrix).  A protocol is complete when the rank reaches d^2 for states
-    or d^4 for processes.  The operators are Hermitian, so the real rows
-    span a space of the same dimension as the complex operators.
-    """
-    design = build_measurement_model(protocol).matrix
-    svals = np.linalg.svd(design, compute_uv=False)
-    rank = int(np.sum(svals > 1e-8 * svals[0]))
-    target = protocol.dim ** 2 if protocol.kind == "qst" else protocol.dim ** 4
-    return rank, rank == target

@@ -3,8 +3,9 @@
 A reconstruction model pairs each circuit with effective measurement
 operators computed from assumed preparation and readout (ideal by
 default, or any DiagonalSpamModel), built gate by gate on the code path
-that also gives the simulator its model; the fits and the completeness
-check use it only as a real design matrix A, through A x and A^T w.
+that also gives the simulator its model; the state and process fits
+use it only as a real design matrix A, through A x and A^T w, and
+`completeness_check` takes its rank.
 Both state fits, the full-rank one and its rank-1 restriction, run one
 diluted fixed-point ascent ("Diluted maximum-likelihood algorithm for
 quantum tomography", Rehacek, Hradil, Knill & Lvovsky 2007).  Processes
@@ -133,10 +134,6 @@ def _jsonify(obj):
         return obj.tolist()
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     return obj
 
 
@@ -209,17 +206,17 @@ def build_measurement_model(protocol, spam=None, gate_depol_p=0.0):
     ops = np.zeros((len(protocol.circuits), n_out, dd, dd), dtype=complex)
     for c, circuit in enumerate(protocol.circuits):
         effects = povm
-        for g in reversed(circuit.meas.gates):
+        for g in reversed(circuit.meas):
             u = gate_unitary(g, dim)
             effects = qcore.dagger(u) @ qcore.depolarize(effects, gate_depol_p) @ u
         if protocol.kind == "qst":
-            if len(circuit.prep):
+            if circuit.prep:
                 raise ValueError(
                     f"state-tomography circuit {circuit.label!r} has prep gates")
             ops[c] = effects
         else:
             rho_i = rho0
-            for g in circuit.prep.gates:
+            for g in circuit.prep:
                 u = gate_unitary(g, dim)
                 rho_i = qcore.depolarize(u @ rho_i @ qcore.dagger(u), gate_depol_p)
             # kron(rho_i^T, E_k) for every outcome k in one broadcast product
@@ -227,6 +224,24 @@ def build_measurement_model(protocol, spam=None, gate_depol_p=0.0):
                       * effects[:, None, :, None, :]).reshape(n_out, dd, dd)
     labels = tuple(c.label for c in protocol.circuits)
     return MeasurementModel(protocol.kind, dim, labels, ops)
+
+
+def completeness_check(protocol):
+    """Numerical informational completeness of a protocol.
+
+    Returns (rank, complete): the numerical rank (relative tolerance
+    1e-8) of the real design matrix `matrix` of the ideal-SPAM
+    `build_measurement_model(protocol)`, one row per outcome
+    (for 'qpt', of the operators rho_i^T (x) P_ik that act on the Choi
+    matrix).  A protocol is complete when the rank reaches d^2 for states
+    or d^4 for processes.  The operators are Hermitian, so the real rows
+    span a space of the same dimension as the complex operators.
+    """
+    design = build_measurement_model(protocol).matrix
+    svals = np.linalg.svd(design, compute_uv=False)
+    rank = int(np.sum(svals > 1e-8 * svals[0]))
+    target = protocol.dim ** 2 if protocol.kind == "qst" else protocol.dim ** 4
+    return rank, rank == target
 
 
 def _checked_counts(data, shape):

@@ -11,7 +11,7 @@ Every two-level gate is followed by a depolarizing channel of strength
 probabilities its caller computes, e.g. with `readout.level_reads`.
 Outcome probabilities come from the reconstruction's own forward model,
 `recon.build_measurement_model` at the configured gate noise, so the
-simulator and the fits share one model of a circuit.
+simulator and the state and process fits share one model of a circuit.
 `circuit_probabilities` keeps an independent Schrodinger-picture
 computation as a reference for tests.  Protocols run with an equal shot
 split: floor(total / n) shots per circuit, one extra for the first
@@ -65,7 +65,7 @@ def noisy_prep_state(circuit, noise):
     """
     dim = circuit.dim
     rho = noise.spam_model(dim).initial_state()
-    for g in circuit.prep.gates:
+    for g in circuit.prep:
         u = gate_unitary(g, dim)
         rho = u @ rho @ qcore.dagger(u)
         if noise.gate_depol_p:
@@ -92,7 +92,7 @@ def circuit_probabilities(circuit, truth, noise, check=True):
         if truth.shape == (dim, dim):
             if check:
                 qcore.check_density_matrix(truth)
-            if len(circuit.prep):
+            if circuit.prep:
                 raise ValueError(
                     "a truth state replaces preparation; circuit has prep gates")
             rho = truth
@@ -104,7 +104,7 @@ def circuit_probabilities(circuit, truth, noise, check=True):
             raise ValueError(
                 f"truth shape {truth.shape} fits neither a state nor a Choi "
                 f"matrix in dimension {dim}")
-    for g in circuit.meas.gates:
+    for g in circuit.meas:
         u = gate_unitary(g, dim)
         rho = u @ rho @ qcore.dagger(u)
         if noise.gate_depol_p:

@@ -135,14 +135,14 @@ def test_criterion_6_structural_counts():
     assert len(qpt3) == 63
     assert max(c.gate_count for c in qpt3.circuits) <= 3
     assert len(protocols.qpt_preparations(3)) == 9
-    rank_qst, complete_qst = protocols.completeness_check(qst3)
-    rank_qpt, complete_qpt = protocols.completeness_check(qpt3)
+    rank_qst, complete_qst = recon.completeness_check(qst3)
+    rank_qpt, complete_qpt = recon.completeness_check(qpt3)
     print(f"ranks: qst {rank_qst}, qpt {rank_qpt}")
     assert (rank_qst, complete_qst) == (9, True)
     assert (rank_qpt, complete_qpt) == (81, True)
 
     qst2 = protocols.qst_two_level(2)
-    mats = [sequence_unitary(c.meas) for c in qst2.circuits]
+    mats = [sequence_unitary(c.meas, 2) for c in qst2.circuits]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             overlaps = np.abs(mats[i] @ qcore.dagger(mats[j])) ** 2

@@ -35,10 +35,11 @@ def read_csv_rows(path):
     return comments, header, rows
 
 
-def test_qst_compare_end_to_end(tmp_path):
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_qst_compare_end_to_end(dim, tmp_path):
     out = tmp_path / "qst.csv"
-    code = run_main(["qst-compare", "--grid", "200", "--trials", "2",
-                     "--seed", "5", "--out", str(out)])
+    code = run_main(["qst-compare", "--dim", str(dim), "--grid", "200",
+                     "--trials", "2", "--seed", "5", "--out", str(out)])
     assert code == 0
     comments, header, rows = read_csv_rows(out)
     assert header == cli.CSV_HEADER
@@ -47,7 +48,7 @@ def test_qst_compare_end_to_end(tmp_path):
     assert labels == sorted(labels)
     for r in rows:
         assert r[0] == "qst_compare"
-        assert r[2] == "3" and r[3] == "200"
+        assert r[2] == str(dim) and r[3] == "200"
         assert 0.0 <= float(r[5]) <= 1.0
     echoed = json.loads(comments[1].split("# config: ", 1)[1])
     assert echoed["seed"] == 5
@@ -269,6 +270,21 @@ def test_experiment_command_mismatch_is_rejected(tmp_path, capsys):
 def test_invalid_settings_exit_with_config_error(argv, tmp_path):
     assert run_main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"trials": "many"}, "config values have the wrong types"),
+    ({"calibration_shots": 0}, "calibration_shots must be at least 1"),
+])
+def test_invalid_config_values_exit_with_config_error(values, message, tmp_path,
+                                                       capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    out = tmp_path / "x.csv"
+    assert run_main(["qpt-models", "--config", str(cfg), "--grid", "300",
+                     "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):

@@ -1,12 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qudittomo import protocols, qcore
-from qudittomo.circuits import GateSequence, TwoLevelGate, sequence_unitary
+from qudittomo.circuits import TwoLevelGate, sequence_unitary
 from qudittomo.protocols import (
     MeasurementCircuit,
     TomographyProtocol,
-    completeness_check,
     mub_bases,
     mub_gate_compile,
     mub_protocol,
@@ -15,12 +19,13 @@ from qudittomo.protocols import (
     qst_two_level,
     spam_calibration_circuits,
 )
+from qudittomo.recon import completeness_check
 
 
 def basis_columns(circuit):
     # measurement in the rotated basis means the basis vectors are the
     # columns of the adjoint of the measurement unitary
-    return qcore.dagger(sequence_unitary(circuit.meas))
+    return qcore.dagger(sequence_unitary(circuit.meas, circuit.dim))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
@@ -34,7 +39,7 @@ def test_qst_circuit_count(dim):
 def test_qst_first_circuit_is_computational():
     protocol = qst_two_level(3)
     assert protocol.circuits[0].label == "comp"
-    assert np.array_equal(sequence_unitary(protocol.circuits[0].meas), np.eye(3))
+    assert np.array_equal(sequence_unitary(protocol.circuits[0].meas, 3), np.eye(3))
 
 
 def test_qst_bases_are_orthonormal():
@@ -64,7 +69,7 @@ def test_qutrit_qst_bases_are_not_all_unbiased():
 def test_qpt_preparation_count_and_depth(dim):
     preps = qpt_preparations(dim)
     assert len(preps) == dim * dim
-    assert all(len(seq) <= 2 for _, seq in preps)
+    assert all(len(gates) <= 2 for _, gates in preps)
     labels = [label for label, _ in preps]
     assert len(set(labels)) == len(labels)
 
@@ -72,8 +77,8 @@ def test_qpt_preparation_count_and_depth(dim):
 def test_qpt_preparations_span_state_space():
     rho0 = qcore.projector(qcore.ket(0, 3))
     mats = []
-    for _, seq in qpt_preparations(3):
-        u = sequence_unitary(seq)
+    for _, gates in qpt_preparations(3):
+        u = sequence_unitary(gates, 3)
         rho = u @ rho0 @ qcore.dagger(u)
         mats.append(np.concatenate([rho.real.ravel(), rho.imag.ravel()]))
     assert np.linalg.matrix_rank(np.vstack(mats), tol=1e-10) == 9
@@ -92,7 +97,7 @@ def test_calibration_circuits():
     assert len(spam_calibration_circuits(2)) == 2
     # circuit j pumps the whole population from level 0 to level j
     for j, c in enumerate(circuits):
-        u = sequence_unitary(c.prep)
+        u = sequence_unitary(c.prep, 3)
         amp = abs((u @ qcore.ket(0, 3))[j]) ** 2
         assert abs(amp - 1.0) < 1e-12
 
@@ -134,9 +139,8 @@ def test_compile_identity_is_empty():
 
 
 def test_compile_single_two_level_unitary():
-    u = sequence_unitary(GateSequence(3, (TwoLevelGate("y", 0.73, (0, 2)),)))
-    seq = mub_gate_compile(u)
-    assert len(seq) <= 3
+    u = sequence_unitary((TwoLevelGate("y", 0.73, (0, 2)),), 3)
+    assert len(mub_gate_compile(u)) <= 3
 
 
 def test_compile_reproduces_outcome_probabilities():
@@ -146,9 +150,9 @@ def test_compile_reproduces_outcome_probabilities():
         rng = qcore.make_rng(400, "compile", trial)
         dim = int(rng.integers(2, 5))
         u = qcore.haar_unitary(dim, rng)
-        seq = mub_gate_compile(u)
-        assert len(seq) <= 3 * dim * (dim - 1) // 2
-        v = sequence_unitary(seq)
+        gates = mub_gate_compile(u)
+        assert len(gates) <= 3 * dim * (dim - 1) // 2
+        v = sequence_unitary(gates, dim)
         ratio = v @ qcore.dagger(u)  # should be diagonal with unit modulus
         off = ratio - np.diag(np.diagonal(ratio))
         assert np.max(np.abs(off)) < 1e-8
@@ -176,7 +180,7 @@ def test_mub_protocol_shape(dim):
 def test_mub_protocol_measures_mub_columns():
     bases = mub_bases(3)
     for circuit, basis in zip(mub_protocol(3).circuits, bases):
-        v = sequence_unitary(circuit.meas)
+        v = sequence_unitary(circuit.meas, 3)
         ratio = v @ basis  # v approximates basis^dag up to diagonal phases
         off = ratio - np.diag(np.diagonal(ratio))
         assert np.max(np.abs(off)) < 1e-8
@@ -211,5 +215,20 @@ def test_protocol_validation():
         TomographyProtocol("qst", 3, (circuits[0], circuits[0]))
     with pytest.raises(ValueError):
         TomographyProtocol("qst", 4, (circuits[0],))
-    with pytest.raises(ValueError):
-        MeasurementCircuit("bad", GateSequence(2), GateSequence(3))
+    with pytest.raises(ValueError, match="does not fit dimension 2"):
+        MeasurementCircuit("bad", 2, (), (TwoLevelGate("x", 1.0, (0, 2)),))
+    with pytest.raises(ValueError, match="dimension must be at least 2, got 1"):
+        MeasurementCircuit("bad", 1, (), ())
+
+
+def test_protocols_import_loads_no_fitting_code():
+    # the circuit layer is data; the fits and the rank check live in recon
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(protocols.__file__).parents[1]), env.get("PYTHONPATH")]))
+    script = ("import sys\n"
+              "import qudittomo.protocols\n"
+              "print('qudittomo.recon' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

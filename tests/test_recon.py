@@ -46,8 +46,8 @@ class TestMeasurementModel:
         model = recon.build_measurement_model(protocol)
         rho0 = qcore.projector(qcore.ket(0, dim))
         for c, circuit in enumerate(protocol.circuits):
-            mu = sequence_unitary(circuit.meas)
-            pu = sequence_unitary(circuit.prep)
+            mu = sequence_unitary(circuit.meas, dim)
+            pu = sequence_unitary(circuit.prep, dim)
             rho_i = pu @ rho0 @ qcore.dagger(pu)
             for k in range(dim):
                 pk = np.zeros((dim, dim), dtype=complex)
@@ -138,6 +138,14 @@ class TestMeasurementModel:
         bad = protocols.TomographyProtocol("qst", 2, protocol.circuits[-3:])
         with pytest.raises(ValueError):
             recon.build_measurement_model(bad)
+
+    def test_bad_spam_and_gate_noise_are_rejected(self):
+        protocol = protocols.qst_two_level(3)
+        with pytest.raises(ValueError, match="SPAM dimension 2 != protocol dimension 3"):
+            recon.build_measurement_model(protocol, spam=readout.ideal_spam_model(2))
+        for gate_depol_p in (-0.1, 1.5):
+            with pytest.raises(ValueError, match=r"gate_depol_p must lie in \[0, 1\]"):
+                recon.build_measurement_model(protocol, gate_depol_p=gate_depol_p)
 
 
 class TestLikelihoodFitInputs:
@@ -1154,6 +1162,9 @@ class TestSpamGeneral:
                                         np.full((2, 3), 3))
         with pytest.raises(ValueError):
             recon.estimate_spam_general(wrong_shape)
+        data = sim.CountsDataset(labels, np.full(3, 9), np.full((3, 3), 3))
+        with pytest.raises(ValueError, match=r"gate_depol_p must lie in \[0, 1\]"):
+            recon.estimate_spam_general(data, gate_depol_p=1.5)
 
 
 def gibbs_grid_oracle(counts, omegas):

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from qudittomo import protocols, qcore, readout, sim
-from qudittomo.circuits import GateSequence, TwoLevelGate, gate_unitary, sequence_unitary
+from qudittomo.circuits import TwoLevelGate, gate_unitary
 from qudittomo.protocols import MeasurementCircuit
 
 
 def single_gate_circuit(dim, gate, label="c"):
-    return MeasurementCircuit(label, GateSequence(dim),
-                              GateSequence(dim, (gate,)))
+    return MeasurementCircuit(label, dim, (), (gate,))
 
 
 # thermal initialization (T = 1) and cascade readout (b0 = 0.01, b1 = 0.02)
@@ -112,8 +111,7 @@ class TestCircuitProbabilities:
                              float(rng.uniform(0, np.pi)),
                              (0, int(rng.integers(1, dim))))
                 for _ in range(3))
-            circuit = MeasurementCircuit("deep", GateSequence(dim),
-                                         GateSequence(dim, gates))
+            circuit = MeasurementCircuit("deep", dim, (), gates)
             p_gate = float(rng.uniform(0, 0.1))
             noise = sim.NoiseConfig(gate_depol_p=p_gate)
             got = sim.circuit_probabilities(circuit, qcore.projector(psi), noise)
@@ -156,7 +154,7 @@ class TestChoiTruth:
         for circuit in protocols.qpt_two_level(3).circuits[:14]:
             got = sim.circuit_probabilities(circuit, choi, noise)
             rho = sim.noisy_prep_state(circuit, noise)
-            bare = MeasurementCircuit(circuit.label, GateSequence(3), circuit.meas)
+            bare = MeasurementCircuit(circuit.label, 3, (), circuit.meas)
             want = sim.circuit_probabilities(bare, rho, noise, check=False)
             assert np.max(np.abs(got - want)) < 1e-12
 
@@ -165,7 +163,7 @@ class TestChoiTruth:
         u = qcore.haar_unitary(3, rng)
         choi = qcore.choi_depolarize(qcore.choi_from_unitary(u), 0.3)
         circuit = protocols.qst_two_level(3).circuits[0]
-        circuit = MeasurementCircuit("id-prep", GateSequence(3), circuit.meas)
+        circuit = MeasurementCircuit("id-prep", 3, (), circuit.meas)
         got = sim.circuit_probabilities(circuit, choi, sim.NoiseConfig())
         rho = qcore.depolarize(u @ qcore.projector(qcore.ket(0, 3)) @ qcore.dagger(u), 0.3)
         assert np.max(np.abs(got - np.diagonal(rho).real)) < 1e-12
@@ -248,6 +246,11 @@ class TestRunProtocol:
                                f"'{protocol.kind}' protocol in dimension 3"):
                 sim.run_protocol(protocol, truth, sim.NoiseConfig(), 1_000, seed=7)
 
+    def test_rejects_a_protocol_without_circuits(self):
+        empty = protocols.TomographyProtocol("qst", 3, ())
+        with pytest.raises(ValueError, match="protocol has no circuits"):
+            sim.outcome_probabilities(empty, np.eye(3) / 3, sim.NoiseConfig())
+
     def test_rejects_fewer_shots_than_circuits(self):
         protocol = protocols.qst_two_level(3)
         with pytest.raises(ValueError):
@@ -256,6 +259,10 @@ class TestRunProtocol:
     def test_dataset_rejects_inconsistent_counts(self):
         with pytest.raises(ValueError):
             sim.CountsDataset(("a",), np.array([10]), np.array([[4, 5]]))
+        with pytest.raises(ValueError, match="do not line up"):
+            sim.CountsDataset(("a", "b"), np.array([9]), np.array([[4, 5]]))
+        with pytest.raises(ValueError, match="counts must be nonnegative"):
+            sim.CountsDataset(("a",), np.array([0]), np.array([[2, -2]]))
 
 
 class TestSpamModel:
