@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -60,6 +61,13 @@ class NumericalError(RuntimeError):
     """A fit stopped without converging."""
 
 
+def _finite(kind, name, value):
+    """`kind(value)` for the config field `name`, which must be finite."""
+    if not math.isfinite(float(value)):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved settings of one experiment run."""
@@ -83,13 +91,16 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         try:
             for name in ("dim", "trials", "calibration_shots", "seed"):
-                object.__setattr__(self, name, int(getattr(self, name)))
+                object.__setattr__(self, name, _finite(int, name, getattr(self, name)))
             for name in ("gate_depol_p", "truth_depol_p", "temperature",
                          "b0", "b1"):
-                object.__setattr__(self, name, float(getattr(self, name)))
-            grid = tuple(int(n) for n in self.grid)
-            omegas = tuple(float(w) for w in self.omegas)
-        except (TypeError, ValueError):
+                object.__setattr__(self, name,
+                                   _finite(float, name, getattr(self, name)))
+            grid = tuple(_finite(int, "grid", n) for n in self.grid)
+            omegas = tuple(_finite(float, "omegas", w) for w in self.omegas)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError("config values have the wrong types")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "omegas", omegas)
@@ -116,17 +127,14 @@ class ExperimentConfig:
 
 
 def _parse_grid(text):
-    values = []
-    for token in text.split(","):
-        try:
-            val = float(token)
-        except ValueError:
-            val = -1.0
-        if val < 1 or val != int(val):
-            raise ConfigError(f"cannot parse grid {text!r}; expected "
-                              "comma-separated sample sizes")
-        values.append(int(val))
-    return tuple(values)
+    try:
+        values = [float(token) for token in text.split(",")]
+    except ValueError:
+        values = [math.nan]
+    if not all(math.isfinite(v) and v >= 1 and v == int(v) for v in values):
+        raise ConfigError(f"cannot parse grid {text!r}; expected "
+                          "comma-separated sample sizes")
+    return tuple(int(v) for v in values)
 
 
 def load_config(command, args):
@@ -396,29 +404,15 @@ def run_completeness(config):
     report = {"experiment": config.experiment, "config": config.to_dict(),
               "seed": config.seed}
     qst = protocols.qst_two_level(dim)
-    rank, complete = recon.completeness_check(qst)
-    counts = [c.gate_count for c in qst.circuits]
-    report["qst"] = {
-        "circuits": len(qst),
-        "gate_counts": counts,
-        "max_gates": max(counts),
-        "rank": int(rank),
-        "rank_target": dim ** 2,
-        "complete": bool(complete),
-        "mub_equivalent": _pairwise_unbiased(qst),
-    }
-    qpt = protocols.qpt_two_level(dim)
-    rank, complete = recon.completeness_check(qpt)
-    counts = [c.gate_count for c in qpt.circuits]
-    report["qpt"] = {
-        "circuits": len(qpt),
-        "preparations": len(protocols.qpt_preparations(dim)),
-        "gate_counts": counts,
-        "max_gates": max(counts),
-        "rank": int(rank),
-        "rank_target": dim ** 4,
-        "complete": bool(complete),
-    }
+    for key, protocol, target in (("qst", qst, dim ** 2),
+                                  ("qpt", protocols.qpt_two_level(dim), dim ** 4)):
+        rank, complete = recon.completeness_check(protocol)
+        counts = [c.gate_count for c in protocol.circuits]
+        report[key] = {"circuits": len(protocol), "gate_counts": counts,
+                       "max_gates": max(counts), "rank": int(rank),
+                       "rank_target": target, "complete": bool(complete)}
+    report["qst"]["mub_equivalent"] = _pairwise_unbiased(qst)
+    report["qpt"]["preparations"] = len(protocols.qpt_preparations(dim))
     return report
 
 

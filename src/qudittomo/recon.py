@@ -180,7 +180,7 @@ class MeasurementModel:
     def weighted_sum(self, w):
         """sum_n w_n A_n for real weights w, one per row of `matrix`."""
         dd = self.operators.shape[-1]
-        return (np.asarray(w, dtype=float) @ self.matrix).view(complex).reshape(dd, dd)
+        return (w @ self.matrix).view(complex).reshape(dd, dd)
 
 
 def build_measurement_model(protocol, spam=None, gate_depol_p=0.0):
@@ -264,7 +264,8 @@ def _fit_counts(data, model, kind):
 
 
 def _floored_probs(model, x):
-    return np.maximum(model.probabilities(x).ravel(), PROB_FLOOR)
+    """Flat `model.probabilities(x)` floored at PROB_FLOOR, for a complex x."""
+    return np.maximum(model.matrix @ x.reshape(-1).view(np.float64), PROB_FLOOR)
 
 
 def _hermitian_sum(model, w):
@@ -317,14 +318,14 @@ def _fit_report(estimate, probs, data, iterations, stop_reason, diagnostics):
 def _diluted_ascent(model, counts, x, probs_of, candidate, mix, early_stop=None):
     """Diluted fixed-point ascent of the log-likelihood sum_n c_n log p_n.
 
-    Each iteration forms R = sum_n (c_n / p_n) A_n at the iterate x, the
-    fixed-point image `candidate(R, x)`, and the step `mix(step, cand, x)`
-    from step = 1 - DILUTION, halved while it would lower the likelihood,
-    so the trace is non-decreasing.  Stops with "tol" when the gain drops
-    below STATE_TOL per shot, "stalled" when no halved step ascends,
-    "pure_kept" when `early_stop(iteration, R, x, p, ll)` is true, or
-    "max_iter" after STATE_MAX_ITER iterations.  Returns (x, p, trace,
-    iterations, stop_reason).
+    Each iteration forms R = sum_n (c_n / p_n) A_n at the iterate x by one
+    unsymmetrized `weighted_sum`, the fixed-point image `candidate(R, x)`,
+    and the step `mix(step, cand, x)` from step = 1 - DILUTION, halved
+    while it would lower the likelihood, so the trace is non-decreasing.
+    Stops with "tol" when the gain drops below STATE_TOL per shot,
+    "stalled" when no halved step ascends, "pure_kept" when
+    `early_stop(iteration, x, p, ll)` is true, or "max_iter" after
+    STATE_MAX_ITER iterations.  Returns (x, p, trace, iterations, stop_reason).
     """
     min_gain = STATE_TOL * max(counts.sum(), 1.0)
     p = probs_of(x)
@@ -333,11 +334,10 @@ def _diluted_ascent(model, counts, x, probs_of, candidate, mix, early_stop=None)
     stop_reason = "max_iter"
     iterations = 0
     for iterations in range(1, STATE_MAX_ITER + 1):
-        r = _hermitian_sum(model, counts / p)
-        if early_stop is not None and early_stop(iterations, r, x, p, ll):
+        if early_stop is not None and early_stop(iterations, x, p, ll):
             stop_reason = "pure_kept"
             break
-        cand = candidate(r, x)
+        cand = candidate(model.weighted_sum(counts / p), x)
         step = 1.0 - DILUTION
         x_new = mix(step, cand, x)
         p_new = probs_of(x_new)
@@ -364,9 +364,12 @@ def mle_state(data, model, pure=None):
 
     Iterates rho <- (1 - DILUTION) * N[R rho R] + DILUTION * rho with
     R = sum_ik (n_ik / p_ik) B_ik, which keeps the iterate a valid state
-    (Rehacek, Hradil, Knill & Lvovsky 2007).  If a step would lower the
-    log-likelihood the update is pulled toward the current iterate until
-    it does not, so the likelihood trace is non-decreasing.  Stops with
+    (Rehacek, Hradil, Knill & Lvovsky 2007), folding the normalization
+    into the step: rho <- (step / tau) R rho R^H + (1 - step) rho, with
+    R rho R^H and its trace tau formed once per iteration.  The iterates
+    are Hermitian up to rounding; the estimate is symmetrized once, after
+    the loop.  A step that would lower the log-likelihood is pulled toward
+    the iterate until it does not, so the trace is non-decreasing.  Stops with
     `stop_reason` "tol" when the gain drops below STATE_TOL per shot,
     "stalled" when no pulled-back step ascends, or "max_iter" after
     STATE_MAX_ITER iterations; only "tol" counts as converged.
@@ -391,22 +394,24 @@ def mle_state(data, model, pure=None):
     """
     counts = _fit_counts(data, model, "qst")
 
-    def early_stop(iteration, r, rho, p, ll):
+    def early_stop(iteration, rho, p, ll):
         # ll never falls: once it fails the rank test, no bound can pass
         if pure is None or iteration % 4 != 1 or not _keeps_pure(ll, pure):
             return False
-        gap = _optimality_gap(r, rho, p, counts, 1)
+        gap = _optimality_gap(_hermitian_sum(model, counts / p), rho, p, counts, 1)
         return gap is not None and _keeps_pure(ll + gap, pure)
 
     def candidate(r, rho):
-        cand = r @ rho @ r
-        cand = cand / cand.trace().real
-        return (cand + cand.conj().T) / 2
+        # R rho R^H and its trace Tr(R^H R rho), which the step divides out
+        r_rho = r @ rho
+        return r_rho @ r.conj().T, np.vdot(r, r_rho).real
 
     rho, p, trace, iterations, stop_reason = _diluted_ascent(
         model, counts, np.eye(model.dim, dtype=complex) / model.dim,
         functools.partial(_floored_probs, model), candidate,
-        lambda step, cand, rho: step * cand + (1.0 - step) * rho, early_stop)
+        lambda step, cand, rho: (step / cand[1]) * cand[0] + (1.0 - step) * rho,
+        early_stop)
+    rho = (rho + qcore.dagger(rho)) / 2
     gap = _optimality_gap(_hermitian_sum(model, counts / p), rho, p, counts, 1)
     return _fit_report(rho, model.probabilities(rho), data, iterations,
                        stop_reason, {"loglik_trace": np.asarray(trace),
@@ -426,10 +431,10 @@ def mle_state_pure(data, model):
     rule and `stop_reason`.  The start vector is the dominant eigenvector
     of R at the maximally mixed state; a poor local maximum only lowers
     this fit's likelihood, which `select_rank` treats as a vote for the
-    full-rank fit.
+    full-rank fit.  The estimate psi psi^H is symmetrized, so Hermitian exactly.
     """
     counts = _fit_counts(data, model, "qst")
-    p0 = _floored_probs(model, np.eye(model.dim) / model.dim)
+    p0 = _floored_probs(model, np.eye(model.dim, dtype=complex) / model.dim)
     _, vecs = np.linalg.eigh(_hermitian_sum(model, counts / p0))
     psi, _, trace, iterations, stop_reason = _diluted_ascent(
         model, counts, vecs[:, -1],
@@ -437,6 +442,7 @@ def mle_state_pure(data, model):
         lambda r, v: _unit(r @ v),
         lambda step, cand, v: _unit(step * cand + (1.0 - step) * v))
     rho = np.outer(psi, psi.conj())
+    rho = (rho + qcore.dagger(rho)) / 2
     return _fit_report(rho, model.probabilities(rho), data, iterations,
                        stop_reason, {"loglik_trace": np.asarray(trace),
                                      "state_vector": psi})

@@ -287,6 +287,31 @@ def test_invalid_config_values_exit_with_config_error(values, message, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["qst-compare", "--grid", "inf"], None, "cannot parse grid 'inf'"),
+    (["qst-compare", "--grid", "nan"], None, "cannot parse grid 'nan'"),
+    (["qst-compare", "--grid", "1e400"], None, "cannot parse grid '1e400'"),
+    (["qst-compare"], '{"dim": 1e400}', "dim must be finite, got inf"),
+    (["qst-compare"], '{"trials": 1e400}', "trials must be finite, got inf"),
+    (["qst-compare"], '{"seed": 1e400}', "seed must be finite, got inf"),
+    (["qpt-models"], '{"calibration_shots": 1e400}',
+     "calibration_shots must be finite, got inf"),
+    (["qst-compare"], '{"grid": [1000, 1e400]}', "grid must be finite, got inf"),
+    (["spam-fit"], '{"temperature": 1e400}', "temperature must be finite, got inf"),
+], ids=["grid-inf", "grid-nan", "grid-1e400", "dim", "trials", "seed",
+        "calibration_shots", "config-grid", "temperature"])
+def test_non_finite_numbers_exit_with_config_error(argv, config, message,
+                                                   tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    out = tmp_path / "x.out"
+    assert run_main(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert run_main(["qst-compare", "--config", str(missing)]) == 2

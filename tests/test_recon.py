@@ -73,6 +73,9 @@ class TestMeasurementModel:
         x = rng.normal(size=(dd, dd)) + 1j * rng.normal(size=(dd, dd))
         want = np.real(np.einsum("ckij,ji->ck", ops, x))
         assert np.max(np.abs(model.probabilities(x) - want)) < 1e-12
+        # the fits' flat, floored probabilities are the same product
+        assert np.array_equal(recon._floored_probs(model, x), np.maximum(
+            model.probabilities(x).ravel(), recon.PROB_FLOOR))
         w = rng.uniform(0.0, 2.0, size=model.n_circuits * model.n_outcomes)
         want = np.einsum("n,nij->ij", w, ops.reshape(-1, dd, dd))
         assert np.max(np.abs(model.weighted_sum(w) - want)) < 1e-12
@@ -203,6 +206,7 @@ class TestMleState:
                                     seed=qcore.derive_seed(600, "sv-data", trial))
             report = recon.mle_state(data, model)
             qcore.check_density_matrix(report.estimate)
+            assert np.array_equal(report.estimate, report.estimate.conj().T)
 
     @pytest.mark.parametrize("fit", ["mle_state", "mle_state_pure"])
     def test_loglik_trace_is_monotone_on_fuzzed_datasets(self, fit):
@@ -268,6 +272,7 @@ class TestPureStateFit:
         assert w[-1] > 1.0 - 1e-10
         assert np.max(np.abs(w[:-1])) < 1e-10
         qcore.check_density_matrix(report.estimate)
+        assert np.array_equal(report.estimate, report.estimate.conj().T)
 
     def test_restricted_likelihood_never_beats_full(self, monkeypatch):
         # nesting holds at the optima; the full fit runs at a tight
@@ -343,6 +348,139 @@ class TestRankDeficientStates:
         if rank == 1:
             assert recon.select_rank(full, pure) is pure
             assert qcore.fidelity(pure.estimate, truth, check=False) >= 1.0 - 1e-8
+
+
+def reference_state_fit(data, model, rank_one=False, pure=None):
+    """The diluted state fits in their plain form: the oracle of `mle_state`.
+
+    R = sum_n (c_n / p_n) A_n is symmetrized at every iterate; the full-rank
+    candidate is N[R rho R], normalized by its trace and symmetrized, and
+    the step is step * cand + (1 - step) * rho.  With `rank_one` it is the
+    vector form of `mle_state_pure`, psi <- unit(step * unit(R psi)
+    + (1 - step) * psi), started at the top eigenvector of R at I/d.
+    Halving, stops and the early rank decision (given `pure`) are those
+    documented.  Returns (estimate, log-likelihood, iterations, stop_reason).
+    """
+    dilution = 0.1
+    counts = np.asarray(data.counts, dtype=float).ravel()
+
+    def probs_of(x):
+        rho = np.outer(x, x.conj()) if rank_one else x
+        return np.maximum(model.probabilities(rho).ravel(), recon.PROB_FLOOR)
+
+    def hermitian_r(p):
+        s = model.weighted_sum(counts / p)
+        return (s + s.conj().T) / 2
+
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    def mix(step, cand, x):
+        x_new = step * cand + (1.0 - step) * x
+        return unit(x_new) if rank_one else x_new
+
+    if rank_one:
+        p0 = np.maximum(model.probabilities(np.eye(model.dim) / model.dim).ravel(),
+                        recon.PROB_FLOOR)
+        x = np.linalg.eigh(hermitian_r(p0))[1][:, -1]
+    else:
+        x = np.eye(model.dim, dtype=complex) / model.dim
+    min_gain = recon.STATE_TOL * max(counts.sum(), 1.0)
+    p = probs_of(x)
+    ll = float(counts @ np.log(p))
+    stop_reason, iterations = "max_iter", 0
+    for iterations in range(1, recon.STATE_MAX_ITER + 1):
+        r = hermitian_r(p)
+        if (pure is not None and iterations % 4 == 1
+                and recon._keeps_pure(ll, pure)):
+            gap = recon._optimality_gap(r, x, p, counts, 1)
+            if gap is not None and recon._keeps_pure(ll + gap, pure):
+                stop_reason = "pure_kept"
+                break
+        if rank_one:
+            cand = unit(r @ x)
+        else:
+            cand = r @ x @ r
+            cand = cand / cand.trace().real
+            cand = (cand + cand.conj().T) / 2
+        step = 1.0 - dilution
+        x_new = mix(step, cand, x)
+        p_new = probs_of(x_new)
+        ll_new = float(counts @ np.log(p_new))
+        while ll_new < ll and step > 1e-8:
+            step /= 2.0
+            x_new = mix(step, cand, x)
+            p_new = probs_of(x_new)
+            ll_new = float(counts @ np.log(p_new))
+        if ll_new < ll:
+            stop_reason = "stalled"
+            break
+        gain = ll_new - ll
+        x, p, ll = x_new, p_new, ll_new
+        if gain < min_gain:
+            stop_reason = "tol"
+            break
+    estimate = np.outer(x, x.conj()) if rank_one else x
+    ll = float(counts @ np.log(np.maximum(model.probabilities(estimate).ravel(),
+                                          recon.PROB_FLOOR)))
+    return estimate, ll, iterations, stop_reason
+
+
+ORACLE_CASES = [(build, dim, n_shots)
+                for dim in (2, 3, 5)
+                for build in ("qst_two_level", "mub_protocol")
+                for n_shots in (1_000, 1_000_000)] + ["zero-count"]
+
+
+def oracle_dataset(case):
+    """(model, data) of an ORACLE_CASES entry: a near-pure truth under gate
+    noise, or exact counts from a basis state, which leave zero counts."""
+    if case == "zero-count":
+        protocol = protocols.qst_two_level(3)
+        data = exact_dataset(protocol, qcore.projector(qcore.ket(0, 3)),
+                             sim.NoiseConfig(), shots=10 ** 4)
+        return recon.build_measurement_model(protocol), data
+    build, dim, n_shots = case
+    protocol = getattr(protocols, build)(dim)
+    rng = qcore.make_rng(607, f"oracle-{build}-{dim}-{n_shots}")
+    truth = qcore.depolarize(qcore.projector(qcore.haar_state(dim, rng)), 0.01)
+    data = sim.run_protocol(protocol, truth, sim.NoiseConfig(gate_depol_p=0.001),
+                            n_shots, seed=qcore.derive_seed(
+                                607, f"oracle-data-{build}-{dim}", n_shots))
+    return recon.build_measurement_model(protocol), data
+
+
+class TestDilutedAscentOracle:
+    # the fits fold the trace normalization into the step and symmetrize
+    # only the returned estimate; in float64 that moves no stop and leaves
+    # the results within rounding of the plain iteration
+    @staticmethod
+    def assert_matches(report, want):
+        estimate, ll, iterations, stop_reason = want
+        assert report.iterations == iterations
+        assert report.diagnostics["stop_reason"] == stop_reason
+        assert np.max(np.abs(report.estimate - estimate)) <= 1e-12
+        assert abs(report.log_likelihood - ll) <= 1e-12 * abs(ll)
+
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: (
+        c if isinstance(c, str) else "-".join(map(str, c))))
+    def test_fits_match_the_plain_iteration(self, case):
+        model, data = oracle_dataset(case)
+        if case == "zero-count":
+            assert np.any(data.counts == 0)
+        pure = recon.mle_state_pure(data, model)
+        self.assert_matches(pure, reference_state_fit(data, model, rank_one=True))
+        self.assert_matches(recon.mle_state(data, model),
+                            reference_state_fit(data, model))
+        self.assert_matches(recon.mle_state(data, model, pure=pure),
+                            reference_state_fit(data, model, pure=pure))
+
+    def test_early_rank_stop_matches_the_plain_iteration(self):
+        model, data = oracle_dataset(ORACLE_CASES[0])
+        pure = recon.mle_state_pure(data, model)
+        early = recon.mle_state(data, model, pure=pure)
+        assert early.diagnostics["stop_reason"] == "pure_kept"
+        self.assert_matches(early, reference_state_fit(data, model, pure=pure))
 
 
 class TestStateFitReports:
