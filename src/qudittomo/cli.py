@@ -63,7 +63,11 @@ class NumericalError(RuntimeError):
 
 def _finite(kind, name, value):
     """`kind(value)` for the config field `name`, which must be finite."""
-    if not math.isfinite(float(value)):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is too large for a float") from None
+    if not math.isfinite(number):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return kind(value)
 
@@ -100,7 +104,7 @@ class ExperimentConfig:
             omegas = tuple(_finite(float, "omegas", w) for w in self.omegas)
         except ConfigError:
             raise
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError):
             raise ConfigError("config values have the wrong types")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "omegas", omegas)

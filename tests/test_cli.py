@@ -298,8 +298,12 @@ def test_invalid_config_values_exit_with_config_error(values, message, tmp_path,
      "calibration_shots must be finite, got inf"),
     (["qst-compare"], '{"grid": [1000, 1e400]}', "grid must be finite, got inf"),
     (["spam-fit"], '{"temperature": 1e400}', "temperature must be finite, got inf"),
+    # integers too large for a float
+    (["qst-compare"], '{"seed": 1' + 400 * "0" + '}', "seed is too large for a float"),
+    (["qst-compare"], '{"dim": 1' + 400 * "0" + '}', "dim is too large for a float"),
 ], ids=["grid-inf", "grid-nan", "grid-1e400", "dim", "trials", "seed",
-        "calibration_shots", "config-grid", "temperature"])
+        "calibration_shots", "config-grid", "temperature", "seed-10e400",
+        "dim-10e400"])
 def test_non_finite_numbers_exit_with_config_error(argv, config, message,
                                                    tmp_path, capsys):
     if config is not None:

@@ -780,9 +780,10 @@ class TestMleProcess:
         project = recon.project_cptp
         calls = []
 
-        def failing(g):
+        def failing(g, *args, **kwargs):
             calls.append(g)
-            return project(g) if len(calls) == 1 else np.full_like(g, np.nan)
+            return (project(g, *args, **kwargs) if len(calls) == 1
+                    else np.full_like(g, np.nan))
 
         monkeypatch.setattr(recon, "project_cptp", failing)
         report = recon.mle_process(data, model)
@@ -868,18 +869,23 @@ class TestCptpProjection:
         out = recon.project_cptp(choi)
         assert np.max(np.abs(out - choi)) < 1e-8
 
+    @staticmethod
+    def spread_input(trial):
+        """A d = 2 Hermitian input with eigenvalues spread over 24 decades."""
+        rng = qcore.make_rng(608, "cptp-spread", trial)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4))
+                            + 1j * rng.standard_normal((4, 4)))
+        w = rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-12, 12, 4)
+        g = (q * w) @ qcore.dagger(q)
+        return (g + qcore.dagger(g)) / 2
+
     @pytest.mark.parametrize("trial", [22, 26])
     def test_a_solve_without_progress_stops_before_its_cap(self, trial,
                                                            monkeypatch):
         # eigenvalues spread over 24 decades: rounding leaves no step that
         # passes either test, so the solve stops short of trace
         # preservation, on its positive part
-        rng = qcore.make_rng(608, "cptp-spread", trial)
-        q, _ = np.linalg.qr(rng.standard_normal((4, 4))
-                            + 1j * rng.standard_normal((4, 4)))
-        w = rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-12, 12, 4)
-        g = (q * w) @ qcore.dagger(q)
-        g = (g + qcore.dagger(g)) / 2
+        g = self.spread_input(trial)
         out = recon.project_cptp(g)
         assert np.all(np.isfinite(out))
         eig = np.linalg.eigvalsh(out)
@@ -959,6 +965,83 @@ class TestCptpProjection:
                 raw = raw + 1j * rng.standard_normal((dim * dim, dim * dim))
                 raw = scale * (raw + qcore.dagger(raw)) / 2
                 self.assert_kkt(raw, recon.project_cptp(raw))
+
+    @staticmethod
+    def near_input(dim, seed):
+        """A Choi matrix plus Hermitian noise."""
+        rng = qcore.make_rng(609, f"warm-{dim}", seed)
+        choi = qcore.choi_from_unitary(qcore.haar_unitary(dim, rng))
+        noise = rng.standard_normal((dim * dim, dim * dim))
+        noise = noise + 1j * rng.standard_normal((dim * dim, dim * dim))
+        return choi + 0.05 * (noise + qcore.dagger(noise)) / 2
+
+    @staticmethod
+    def counted_projection(g, warm, monkeypatch):
+        """`project_cptp(g, warm)` and the number of its `eigh` calls."""
+        eigh, calls = np.linalg.eigh, []
+
+        def counted(a):
+            calls.append(a)
+            return eigh(a)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", counted)
+            return recon.project_cptp(g, warm), len(calls)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_warm_path_matches_the_cold_projections(self, dim, monkeypatch):
+        # as in the process fit: gradient steps from one point, the step
+        # halved once and then grown by 1.2 after every step
+        rng = qcore.make_rng(609, f"warm-path-{dim}", 0)
+        base = self.near_input(dim, 0)
+        grad = rng.standard_normal((dim * dim, dim * dim))
+        grad = grad + 1j * rng.standard_normal((dim * dim, dim * dim))
+        grad = (grad + qcore.dagger(grad)) / 2
+        warm = {}
+        for k, step in enumerate(0.05 * 0.5 * 1.2 ** np.arange(-1, 12)):
+            g = base + step * grad
+            out, warm_evals = self.counted_projection(g, warm, monkeypatch)
+            cold, cold_evals = self.counted_projection(g, None, monkeypatch)
+            self.assert_kkt(g, out)
+            assert np.max(np.abs(out - cold)) <= 1e-10
+            assert np.array_equal(warm["g"], (g + qcore.dagger(g)) / 2)
+            # every record but the first (empty) one saves evaluations
+            assert k == 0 or warm_evals < cold_evals
+
+    @pytest.mark.parametrize("dim,trial", [(2, 0), (3, 1), (5, 2)])
+    def test_an_unusable_record_gives_the_cold_projection(self, dim, trial):
+        g = self.near_input(dim, 1)
+        cold = recon.project_cptp(g)
+        record = {}
+        recon.project_cptp(self.near_input(dim, 2), record)
+        nan = {"g": np.full_like(record["g"], np.nan),
+               "lam": np.full_like(record["lam"], np.nan),
+               "linear": tuple(np.full_like(a, np.nan) for a in record["linear"])}
+        assert np.array_equal(recon.project_cptp(g, nan), cold)
+        # a record from a raw Hermitian input at ten times the scale of
+        # test_raw_hermitian_inputs_meet_the_kkt_conditions predicts a
+        # start farther from trace preservation than J = 0
+        rng = qcore.make_rng(607, "kkt-raw", trial)
+        raw = rng.standard_normal((dim * dim, dim * dim))
+        raw = raw + 1j * rng.standard_normal((dim * dim, dim * dim))
+        far = {}
+        recon.project_cptp(10.0 * (raw + qcore.dagger(raw)) / 2, far)
+        assert far
+        assert np.array_equal(recon.project_cptp(g, far), cold)
+
+    @pytest.mark.parametrize("trial", [22, 26])
+    def test_a_solve_short_of_tolerance_leaves_the_record(self, trial):
+        # the inputs of test_a_solve_without_progress_stops_before_its_cap
+        g = self.spread_input(trial)
+        empty = {}
+        out = recon.project_cptp(g, empty)
+        assert not empty
+        record = {}
+        recon.project_cptp(self.near_input(2, 3), record)
+        kept = dict(record)
+        assert np.array_equal(recon.project_cptp(g, record), out)
+        assert record.keys() == kept.keys()
+        assert all(record[k] is kept[k] for k in kept)
 
 
 OMEGAS = {2: (0.0, 4.0), 3: (0.0, 4.0, 6.0), 4: (0.0, 4.0, 6.0, 7.0),
