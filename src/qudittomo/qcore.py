@@ -29,15 +29,6 @@ def dagger(a):
     return np.conj(a.T)
 
 
-def ket(j, dim):
-    """Computational basis column vector |j> in dimension `dim`."""
-    if not 0 <= j < dim:
-        raise ValueError(f"level {j} out of range for dimension {dim}")
-    v = np.zeros(dim, dtype=complex)
-    v[j] = 1.0
-    return v
-
-
 def projector(psi):
     """Rank-1 density matrix |psi><psi| from a normalized state vector."""
     psi = np.asarray(psi, dtype=complex)
@@ -68,22 +59,6 @@ def check_density_matrix(rho):
     wmin = np.linalg.eigvalsh((rho + dagger(rho)) / 2).min()
     if wmin < -ATOL_PSD:
         raise ValueError(f"density matrix has negative eigenvalue {wmin}")
-
-
-def check_povm(ops):
-    """Raise ValueError unless `ops` (stacked (k, d, d)) forms a POVM."""
-    ops = np.asarray(ops)
-    if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
-        raise ValueError(f"POVM must be stacked (k, d, d), got shape {ops.shape}")
-    for m, op in enumerate(ops):
-        if not is_hermitian(op):
-            raise ValueError(f"POVM element {m} is not Hermitian")
-        wmin = np.linalg.eigvalsh(op).min()
-        if wmin < -ATOL_PSD:
-            raise ValueError(f"POVM element {m} has negative eigenvalue {wmin}")
-    total = ops.sum(axis=0)
-    if np.max(np.abs(total - np.eye(ops.shape[1]))) > ATOL_TRACE_PRESERVING:
-        raise ValueError("POVM elements do not sum to the identity")
 
 
 def depolarize(op, p):

@@ -83,8 +83,9 @@ class DiagonalSpamModel:
     `response` is the column-stochastic matrix b[k, j] = P(outcome k | level j),
     for the cascade readout the output of `cascade_response`.
     The constructor's checks (entries >= -1e-12, column sums within 1e-10
-    of 1) lie inside the tolerances of `qcore.check_povm`, so `povm`
-    builds its diagonal effects without re-checking them.
+    of 1) make the diagonal effects of `povm` a POVM to within 1e-10, in
+    their eigenvalues and in their sum's distance from the identity, so
+    `povm` builds them without re-checking.
     Equality and hashing are by identity: the fields are arrays, whose
     elementwise `==` has no single truth value.
     """

@@ -24,10 +24,13 @@ the general diagonal model, whose member of the flat set below is found
 by a log-barrier Newton path and a vertex polish that certifies it, and
 a profile likelihood for the thermal one, whose inner (b0, b1) problems
 are solved by one batched projected Newton method and whose maximum in
-log T is refined by secant steps on its slope.  All five fits share one
-input check and one report builder, which derives the likelihood,
-residual and convergence of a report from the table of probabilities
-its estimate predicts.  Every solver here, the chi-squared quantile of
+log T is refined by secant steps on its slope.  The general fit takes
+the action of its calibration circuits on diagonal states from the same
+measurement model, one start level at a time, and accepts only data
+labelled as those circuits.  All five fits share one input check and
+one report builder, which derives the likelihood, residual and
+convergence of a report from the table of probabilities its estimate
+predicts.  Every solver here, the chi-squared quantile of
 the rank test included, is written on numpy and the standard library.
 
 The general diagonal model has d^2 - 1 parameters, but its d
@@ -47,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import qcore, readout
+from . import protocols, qcore, readout
 from .circuits import gate_unitary
 
 PROB_FLOOR = 1e-12
@@ -786,23 +789,23 @@ def _least_squares(a, b):
     return x
 
 
-def _calibration_maps(dim, gate_depol_p):
-    """Affine action of the calibration circuits on diagonal states.
+def _calibration_maps(protocol, gate_depol_p):
+    """Linear action of the calibration circuits on diagonal states.
 
-    Circuit j sends populations a to v_j = maps[j] @ a + offsets[j]: the
-    swap 0 <-> j, followed for j > 0 by the gate's depolarizing pull
-    toward uniform.
+    Circuit j sends populations a to v_j = maps[j] @ a.  Column m of
+    every map is the outcome table, on the identity channel, of the
+    protocol's `build_measurement_model` for preparation e_m, ideal
+    readout and the gates' depolarizing weight `gate_depol_p`: the forward
+    model alone says what the circuits do.
     """
-    maps = np.empty((dim, dim, dim))
-    offsets = np.zeros((dim, dim))
-    for j in range(dim):
-        perm = np.arange(dim)
-        perm[[0, j]] = perm[[j, 0]]
-        maps[j] = np.eye(dim)[perm]
-        if j > 0:
-            maps[j] *= 1.0 - gate_depol_p
-            offsets[j] = gate_depol_p / dim
-    return maps, offsets
+    dim = protocol.dim
+    identity = qcore.choi_from_unitary(np.eye(dim))
+    maps = np.empty((len(protocol), dim, dim))
+    for m, start in enumerate(np.eye(dim)):
+        model = build_measurement_model(
+            protocol, readout.DiagonalSpamModel(start, np.eye(dim)), gate_depol_p)
+        maps[:, :, m] = model.probabilities(identity)
+    return maps
 
 
 def _em_response(counts, transfer, response):
@@ -832,11 +835,12 @@ def _em_response(counts, transfer, response):
     return response, EM_MAX_ITER, "max_iter"
 
 
-def _response_problem(freq, gate_depol_p):
+def _response_problem(freq, maps):
     """tr B and the constraints of the general calibration fit, with derivatives.
 
-    Over the free populations x, with a = (1 - sum(x), x) and the
-    response B(x) = F^T V(a)^-1 of `estimate_spam_general`, the returned
+    Over the free populations x, with a = (1 - sum(x), x), the columns
+    v_j = maps[j] @ a of V(a) (`_calibration_maps`) and the response
+    B(x) = F^T V(a)^-1 of `estimate_spam_general`, the returned
     `evaluate(x)` gives (tr B, c) for the constraints c = (vec B, a) >= 0,
     and `evaluate(x, True)` adds the gradient and Hessian of tr B and the
     Jacobian and Hessians of c.  With W = V^-1 and E_i = (dV/dx_i) W,
@@ -846,7 +850,6 @@ def _response_problem(freq, gate_depol_p):
     """
     dim = freq.shape[0]
     n = dim - 1
-    maps, offsets = _calibration_maps(dim, gate_depol_p)
     # dv[i] = dV/dx_i, whose column j is d v_j / d x_i
     dv = (maps[:, :, 1:] - maps[:, :, :1]).transpose(2, 1, 0)
     dpop = np.vstack([-np.ones(n), np.eye(n)])
@@ -855,7 +858,7 @@ def _response_problem(freq, gate_depol_p):
     def evaluate(x, derivatives=False):
         evaluate.calls += 1
         a = np.concatenate([[1.0 - x.sum()], x])
-        w = np.linalg.inv((maps @ a + offsets).T)
+        w = np.linalg.inv((maps @ a).T)
         b = freq.T @ w
         c = np.concatenate([b.ravel(), a])
         if not derivatives:
@@ -975,23 +978,24 @@ def _max_trace_response(evaluate, dim):
 def estimate_spam_general(data, gate_depol_p=0.0):
     """Fit the full diagonal preparation-and-readout model to calibration counts.
 
-    `data` holds counts of the `protocols.spam_calibration_circuits`
-    protocol ('qpt', run on the identity channel): circuit 0 is gate
-    free, circuit j applies one R_x(pi) on levels (0, j), which on a
-    diagonal state swaps populations 0 <-> j.  Circuit j predicts
-    F_j = B v_j(a) with v_j affine in the populations a, so for any a the
-    response B(a) = F^T V(a)^-1 reproduces the observed frequencies F
-    exactly, and every a with a >= 0 and B(a) >= 0 maximizes the
-    likelihood.  These maximizers form a set of dimension d - 1 (see the
-    module notes).  The fit returns the member with the largest tr B, the
-    most faithful readout (`_max_trace_response`): a log-barrier Newton
-    path over the d - 1 free populations, with analytic derivatives of
-    B(a), from a start next to ideal preparation e_0 ("Convex
-    Optimization", Boyd & Vandenberghe 2004, ch. 11), then a polish that
-    solves the d - 1 tightest constraints as equalities.  It converges
-    ("tol") only when the polished vertex satisfies every other
-    constraint and has nonnegative KKT multipliers; `iterations` counts
-    the Newton steps of the path.
+    `data` must hold counts of the `protocols.spam_calibration_circuits`
+    protocol ('qpt', run on the identity channel), circuit for circuit:
+    circuit 0 is gate free, circuit j applies one R_x(pi) on levels
+    (0, j).  Their action on diagonal states is read off the forward
+    model (`_calibration_maps`), so circuit j predicts F_j = B v_j(a)
+    with v_j linear in the populations a; for any a the response
+    B(a) = F^T V(a)^-1 reproduces the observed frequencies F exactly,
+    and every a with a >= 0 and B(a) >= 0 maximizes the likelihood.
+    These maximizers form a set of dimension d - 1 (see the module
+    notes).  The fit returns the member with the largest tr B, the most
+    faithful readout (`_max_trace_response`): a log-barrier Newton path
+    over the d - 1 free populations, with analytic derivatives of B(a),
+    from a start next to ideal preparation e_0 ("Convex Optimization",
+    Boyd & Vandenberghe 2004, ch. 11), then a polish that solves the
+    d - 1 tightest constraints as equalities.  It converges ("tol") only
+    when the polished vertex satisfies every other constraint and has
+    nonnegative KKT multipliers; `iterations` counts the Newton steps of
+    the path.
 
     When no start makes every constraint strictly positive, typically
     because some outcome was never observed, B is fitted by EM at ideal
@@ -1001,9 +1005,11 @@ def estimate_spam_general(data, gate_depol_p=0.0):
     and B(a) is undefined.
     """
     dim = data.counts.shape[1]
+    protocol = protocols.spam_calibration_circuits(dim)
+    if tuple(data.labels) != tuple(c.label for c in protocol.circuits):
+        raise ValueError("dataset circuits do not match the calibration circuits")
     counts = _checked_counts(data, (dim, dim))
-    if not 0.0 <= gate_depol_p <= 1.0:
-        raise ValueError(f"gate_depol_p must lie in [0, 1], got {gate_depol_p}")
+    maps = _calibration_maps(protocol, gate_depol_p)
 
     x = np.zeros(dim - 1)
     feasible = False
@@ -1011,7 +1017,7 @@ def estimate_spam_general(data, gate_depol_p=0.0):
     min_response = None
     shots = counts.sum(axis=1)
     if np.all(shots > 0):
-        evaluate = _response_problem(counts / shots[:, None], gate_depol_p)
+        evaluate = _response_problem(counts / shots[:, None], maps)
         x, feasible, iterations, stop_reason = _max_trace_response(evaluate, dim)
         b = evaluate(x)[1][:dim * dim].reshape(dim, dim)
         evaluations = evaluate.calls
@@ -1019,8 +1025,7 @@ def estimate_spam_general(data, gate_depol_p=0.0):
 
     a = np.clip(np.concatenate([[1.0 - x.sum()], x]), 0.0, None)
     a /= a.sum()
-    maps, offsets = _calibration_maps(dim, gate_depol_p)
-    v = (maps @ a + offsets).T
+    v = (maps @ a).T
     branch = "closed_form" if feasible else "fallback"
     if feasible:
         b = np.clip(b, 0.0, None)

@@ -13,6 +13,8 @@ import numpy as np
 from qudittomo import cli, protocols, qcore, readout, recon, sim
 from qudittomo.circuits import sequence_unitary
 
+from helpers import check_povm
+
 
 def medians(rows):
     return {(label, n): med for label, n, _, med, _ in cli.summarize(rows)}
@@ -167,7 +169,7 @@ def test_criterion_7_cascade_povm_correctness():
         dim = int(rng.integers(2, 6))
         b = readout.cascade_response(rng.uniform(0, 1, size=(dim - 1, dim)))
         ops = readout.DiagonalSpamModel(np.full(dim, 1.0 / dim), b).povm()
-        qcore.check_povm(ops)
+        check_povm(ops)
         assert np.max(np.abs(ops.sum(axis=0) - np.eye(dim))) <= 1e-12
 
 

@@ -11,6 +11,9 @@ from qudittomo.circuits import (
     su2_rotation,
 )
 
+from helpers import ket
+
+
 SIGMA = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -50,8 +53,8 @@ def test_zero_angle_gate_is_identity():
 
 def test_rx_pi_transfers_population():
     g = TwoLevelGate("x", np.pi, (0, 1))
-    out = gate_unitary(g, 2) @ qcore.ket(0, 2)
-    assert np.max(np.abs(out - (-1j) * qcore.ket(1, 2))) < 1e-12
+    out = gate_unitary(g, 2) @ ket(0, 2)
+    assert np.max(np.abs(out - (-1j) * ket(1, 2))) < 1e-12
 
 
 def test_gate_unitary_matches_embedded_exponential():

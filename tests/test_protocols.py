@@ -21,6 +21,8 @@ from qudittomo.protocols import (
 )
 from qudittomo.recon import completeness_check
 
+from helpers import ket
+
 
 def basis_columns(circuit):
     # measurement in the rotated basis means the basis vectors are the
@@ -75,7 +77,7 @@ def test_qpt_preparation_count_and_depth(dim):
 
 
 def test_qpt_preparations_span_state_space():
-    rho0 = qcore.projector(qcore.ket(0, 3))
+    rho0 = qcore.projector(ket(0, 3))
     mats = []
     for _, gates in qpt_preparations(3):
         u = sequence_unitary(gates, 3)
@@ -98,7 +100,7 @@ def test_calibration_circuits():
     # circuit j pumps the whole population from level 0 to level j
     for j, c in enumerate(circuits):
         u = sequence_unitary(c.prep, 3)
-        amp = abs((u @ qcore.ket(0, 3))[j]) ** 2
+        amp = abs((u @ ket(0, 3))[j]) ** 2
         assert abs(amp - 1.0) < 1e-12
 
 

@@ -5,6 +5,8 @@ import pytest
 
 from qudittomo import qcore
 
+from helpers import ket
+
 
 def random_state(dim, rng):
     return qcore.projector(qcore.haar_state(dim, rng))
@@ -22,7 +24,7 @@ class TestDepolarize:
         assert np.allclose(qcore.depolarize(rho, 0.0), rho)
 
     def test_full_strength_gives_maximally_mixed(self):
-        rho = qcore.projector(qcore.ket(0, 2))
+        rho = qcore.projector(ket(0, 2))
         assert np.allclose(qcore.depolarize(rho, 1.0), np.eye(2) / 2)
 
     def test_pure_state_fidelity_closed_form(self):
@@ -63,12 +65,12 @@ class TestFidelity:
         assert abs(qcore.fidelity(rho, rho) - 1.0) < 1e-10
 
     def test_orthogonal_pure_states(self):
-        a = qcore.projector(qcore.ket(0, 2))
-        b = qcore.projector(qcore.ket(1, 2))
+        a = qcore.projector(ket(0, 2))
+        b = qcore.projector(ket(1, 2))
         assert qcore.fidelity(a, b) == 0.0
 
     def test_pure_versus_maximally_mixed(self):
-        rho = qcore.projector(qcore.ket(0, 2))
+        rho = qcore.projector(ket(0, 2))
         assert abs(qcore.fidelity(rho, np.eye(2) / 2) - 0.5) < 1e-12
 
     def test_symmetric_in_arguments(self):
@@ -228,15 +230,6 @@ class TestValidation:
             qcore.check_density_matrix(np.array([[0.5, 0.5], [-0.5, 0.5]]))
         with pytest.raises(ValueError):
             qcore.check_density_matrix(np.diag([1.5, -0.5]).astype(complex))
-
-    def test_povm_checks(self):
-        ops = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
-        qcore.check_povm(ops)
-        with pytest.raises(ValueError):
-            qcore.check_povm(ops * 0.5)  # sums to I/2
-        with pytest.raises(ValueError):
-            qcore.check_povm(np.stack([np.diag([1.5, 0.0]),
-                                       np.diag([-0.5, 1.0])]).astype(complex))
 
 
 class TestSeedDerivation:

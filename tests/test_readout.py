@@ -11,6 +11,8 @@ import pytest
 
 from qudittomo import qcore, readout
 
+from helpers import check_povm, ket
+
 
 class TestLevelReadout:
     def test_noiseless_read_is_a_projector(self):
@@ -122,12 +124,12 @@ class TestDiagonalModels:
     def test_pure_population_state(self):
         rho = readout.DiagonalSpamModel(np.array([1.0, 0.0, 0.0]),
                                         np.eye(3)).initial_state()
-        assert np.array_equal(rho, qcore.projector(qcore.ket(0, 3)))
+        assert np.array_equal(rho, qcore.projector(ket(0, 3)))
 
     def test_identity_response_is_projective(self):
         ops = readout.DiagonalSpamModel(np.array([1.0, 0.0, 0.0]), np.eye(3)).povm()
         assert np.array_equal(
-            ops, np.stack([qcore.projector(qcore.ket(k, 3)) for k in range(3)]))
+            ops, np.stack([qcore.projector(ket(k, 3)) for k in range(3)]))
 
     def test_realistic_fit_values_form_a_valid_model(self):
         a = np.array([0.97, 0.03, 0.0])
@@ -135,7 +137,7 @@ class TestDiagonalModels:
                       [0.0, 1.0, 0.0],
                       [0.02, 0.0, 0.99]])
         model = readout.DiagonalSpamModel(a, b)
-        qcore.check_povm(model.povm())
+        check_povm(model.povm())
         qcore.check_density_matrix(model.initial_state())
 
     def test_every_accepted_model_gives_a_valid_povm(self):
@@ -153,7 +155,7 @@ class TestDiagonalModels:
                 b[top, j] += rng.choice([-0.9e-10, 0.9e-10])
             model = readout.DiagonalSpamModel(rng.dirichlet(np.ones(dim)), b)
             ops = model.povm()
-            qcore.check_povm(ops)
+            check_povm(ops)
             assert np.array_equal(np.diagonal(ops, axis1=1, axis2=2), b)
 
     def test_model_rejects_broken_simplexes(self):

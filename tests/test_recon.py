@@ -18,6 +18,8 @@ import scipy.stats
 
 from qudittomo import protocols, qcore, readout, recon, sim
 
+from helpers import ket
+
 
 # thermal initialization (T = 1) and cascade readout (b0 = 0.01, b1 = 0.02)
 THERMAL_SPAM = readout.gibbs_cascade_model(3, 1.0, (0.0, 4.0, 6.0), 0.01, 0.02)
@@ -44,7 +46,7 @@ class TestMeasurementModel:
         from qudittomo.circuits import sequence_unitary
         protocol = getattr(protocols, family)(dim)
         model = recon.build_measurement_model(protocol)
-        rho0 = qcore.projector(qcore.ket(0, dim))
+        rho0 = qcore.projector(ket(0, dim))
         for c, circuit in enumerate(protocol.circuits):
             mu = sequence_unitary(circuit.meas, dim)
             pu = sequence_unitary(circuit.prep, dim)
@@ -437,7 +439,7 @@ def oracle_dataset(case):
     noise, or exact counts from a basis state, which leave zero counts."""
     if case == "zero-count":
         protocol = protocols.qst_two_level(3)
-        data = exact_dataset(protocol, qcore.projector(qcore.ket(0, 3)),
+        data = exact_dataset(protocol, qcore.projector(ket(0, 3)),
                              sim.NoiseConfig(), shots=10 ** 4)
         return recon.build_measurement_model(protocol), data
     build, dim, n_shots = case
@@ -639,7 +641,7 @@ class TestEarlyRankDecision:
         for build in (protocols.qst_two_level, protocols.mub_protocol):
             protocol = build(3)
             model = recon.build_measurement_model(protocol)
-            data = exact_dataset(protocol, qcore.projector(qcore.ket(0, 3)),
+            data = exact_dataset(protocol, qcore.projector(ket(0, 3)),
                                  sim.NoiseConfig(), shots=10 ** 4)
             assert np.any(data.counts == 0)
             pure = recon.mle_state_pure(data, model)
@@ -1045,7 +1047,7 @@ class TestCptpProjection:
 
 
 OMEGAS = {2: (0.0, 4.0), 3: (0.0, 4.0, 6.0), 4: (0.0, 4.0, 6.0, 7.0),
-          5: (0.0, 4.0, 6.0, 7.0, 8.0)}
+          5: (0.0, 4.0, 6.0, 7.0, 8.0), 7: (0.0, 4.0, 6.0, 7.0, 8.0, 9.0, 10.0)}
 # root seed of the calibration streams the command-line drivers would draw
 STREAM_SEED = 46000
 
@@ -1091,12 +1093,13 @@ def slsqp_general(data, gate_depol_p):
     counts = np.asarray(data.counts, dtype=float)
     dim = counts.shape[0]
     freq = counts / counts.sum(axis=1)[:, None]
-    maps, offsets = recon._calibration_maps(dim, gate_depol_p)
-    dmaps = maps[:, :, 1:] - maps[:, :, :1]
+    # the transfer matrix is affine in a: dmaps[j, m, i] = d v_j[m] / d x_i
+    levels = [calibration_transfer(e, gate_depol_p, dim) for e in np.eye(dim)]
+    dmaps = np.stack([v - levels[0] for v in levels[1:]], axis=2).transpose(1, 0, 2)
 
     def response(x):
         a = np.concatenate([[1.0 - x.sum()], x])
-        vinv = np.linalg.inv((maps @ a + offsets).T)
+        vinv = np.linalg.inv(calibration_transfer(a, gate_depol_p, dim))
         return freq.T @ vinv, vinv
 
     def negative_trace(x):
@@ -1177,6 +1180,18 @@ def calibration_probs(model, gate_depol_p, dim):
 
 
 class TestSpamGeneral:
+    @pytest.mark.parametrize("dim", [2, 3, 5, 7])
+    @pytest.mark.parametrize("gate_depol_p", [0.0, 1e-3, 0.3])
+    def test_calibration_maps_match_the_swap_oracle(self, dim, gate_depol_p):
+        # the maps read off the forward model swap levels 0 and j, then
+        # depolarize, on every basis state and on random mixtures
+        maps = recon._calibration_maps(
+            protocols.spam_calibration_circuits(dim), gate_depol_p)
+        rng = qcore.make_rng(91, "calibration-maps", dim)
+        for a in [*np.eye(dim), *rng.dirichlet(np.ones(dim), size=3)]:
+            want = calibration_transfer(a, gate_depol_p, dim)
+            assert np.max(np.abs((maps @ a).T - want)) <= 1e-14
+
     def test_exact_ideal_counts_recover_ideal_parameters(self):
         circuits = protocols.spam_calibration_circuits(3).circuits
         probs = np.stack([sim.circuit_probabilities(c, None, sim.NoiseConfig())
@@ -1244,7 +1259,7 @@ class TestSpamGeneral:
         sv = np.linalg.svd(jac, compute_uv=False)
         assert np.sum(sv > 1e-8 * sv[0]) == dim * (dim - 1)
 
-    @pytest.mark.parametrize("dim", [2, 5])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_exact_counts_land_on_the_max_trace_boundary(self, dim):
         data, probs = exact_calibration(dim)
         report = recon.estimate_spam_general(data, gate_depol_p=0.001)
@@ -1267,6 +1282,18 @@ class TestSpamGeneral:
         assert feasible >= 10
         again = recon.estimate_spam_general(data, gate_depol_p=0.001)
         assert json.dumps(again.to_dict()) == json.dumps(report.to_dict())
+
+    def test_exact_counts_converge_at_d7(self):
+        # a prime d >= 5 beyond the streams below; too few random
+        # neighbours of this vertex are feasible for the boundary test
+        data, probs = exact_calibration(7)
+        report = recon.estimate_spam_general(data, gate_depol_p=0.001)
+        assert report.diagnostics["branch"] == "closed_form"
+        assert report.converged and report.diagnostics["stop_reason"] == "tol"
+        predicted = report.diagnostics["predicted_probs"]
+        assert np.max(np.abs(predicted - calibration_probs(
+            report.estimate, 0.001, 7))) <= 1e-9
+        assert np.max(np.abs(predicted - probs)) <= 1e-9
 
     @pytest.mark.parametrize("dim", [2, 5])
     def test_calibration_streams_converge(self, dim):
@@ -1386,6 +1413,11 @@ class TestSpamGeneral:
         data = sim.CountsDataset(labels, np.full(3, 9), np.full((3, 3), 3))
         with pytest.raises(ValueError, match=r"gate_depol_p must lie in \[0, 1\]"):
             recon.estimate_spam_general(data, gate_depol_p=1.5)
+        # right shape, wrong circuits
+        other = sim.CountsDataset(("ry90(0,1)", "ry90(0,2)", "ry90(1,2)"),
+                                  np.full(3, 9), np.full((3, 3), 3))
+        with pytest.raises(ValueError, match="do not match the calibration circuits"):
+            recon.estimate_spam_general(other)
 
 
 def gibbs_grid_oracle(counts, omegas):

@@ -7,6 +7,8 @@ from qudittomo import protocols, qcore, readout, sim
 from qudittomo.circuits import TwoLevelGate, gate_unitary
 from qudittomo.protocols import MeasurementCircuit
 
+from helpers import ket
+
 
 def single_gate_circuit(dim, gate, label="c"):
     return MeasurementCircuit(label, dim, (), (gate,))
@@ -44,7 +46,7 @@ class TestPrepState:
     def test_bare_ideal_prep(self):
         circuit = protocols.spam_calibration_circuits(3).circuits[0]
         rho = sim.noisy_prep_state(circuit, sim.NoiseConfig())
-        assert np.array_equal(rho, qcore.projector(qcore.ket(0, 3)))
+        assert np.array_equal(rho, qcore.projector(ket(0, 3)))
 
     def test_noiseless_flip_moves_population(self):
         circuit = protocols.spam_calibration_circuits(3).circuits[1]
@@ -64,7 +66,7 @@ class TestPrepState:
 class TestCircuitProbabilities:
     def test_computational_readout_of_ground_state(self):
         circuit = protocols.qst_two_level(3).circuits[0]
-        p = sim.circuit_probabilities(circuit, qcore.projector(qcore.ket(0, 3)),
+        p = sim.circuit_probabilities(circuit, qcore.projector(ket(0, 3)),
                                       sim.NoiseConfig())
         assert np.allclose(p, [1.0, 0.0, 0.0], atol=1e-15)
 
@@ -165,7 +167,7 @@ class TestChoiTruth:
         circuit = protocols.qst_two_level(3).circuits[0]
         circuit = MeasurementCircuit("id-prep", 3, (), circuit.meas)
         got = sim.circuit_probabilities(circuit, choi, sim.NoiseConfig())
-        rho = qcore.depolarize(u @ qcore.projector(qcore.ket(0, 3)) @ qcore.dagger(u), 0.3)
+        rho = qcore.depolarize(u @ qcore.projector(ket(0, 3)) @ qcore.dagger(u), 0.3)
         assert np.max(np.abs(got - np.diagonal(rho).real)) < 1e-12
 
 
