@@ -62,13 +62,20 @@ class NumericalError(RuntimeError):
 
 
 def _finite(kind, name, value):
-    """`kind(value)` for the config field `name`, which must be finite."""
+    """`kind(value)` for the config field `name`, which must be finite.
+
+    An int field takes only integral numbers, so 1e6 but neither 1.5 nor
+    a boolean: `int` would truncate them silently.
+    """
     try:
         number = float(value)
     except OverflowError:
         raise ConfigError(f"{name} is too large for a float") from None
     if not math.isfinite(number):
         raise ConfigError(f"{name} must be finite, got {value!r}")
+    if kind is int and (isinstance(value, (bool, np.bool_))
+                        or not number.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     return kind(value)
 
 
@@ -442,6 +449,29 @@ def write_rows(path, config, rows):
     _write_text(path, "\n".join(lines) + "\n")
 
 
+def _linear_quantile(ordered, q):
+    """Quantile q of the ascending list `ordered`, as `np.percentile` gives it.
+
+    numpy's default "linear" method, with its arithmetic, so its bits:
+    interpolate between the neighbours of position q (n - 1), from the
+    nearer one (numpy's `_lerp`).  Ties sort stably here, so only a zero
+    quartile between tied -0.0 and 0.0 can differ, in its sign.
+    `np.percentile` itself imports numpy.ma on its first call, which
+    costs more than a whole summary.
+    """
+    last = len(ordered) - 1
+    pos = last * q
+    if pos < last:
+        lo = math.floor(pos)
+        hi = lo + 1
+    else:
+        # at or past the last position numpy takes index -1 for both
+        lo = hi = -1
+    a, b = ordered[lo], ordered[hi]
+    t = pos - lo
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def summarize(rows):
     """Quartiles of infidelity per (label, N), in canonical order."""
     groups = {}
@@ -449,8 +479,10 @@ def summarize(rows):
         groups.setdefault((label, n_shots), []).append(float(infid))
     table = []
     for (label, n_shots), vals in sorted(groups.items()):
-        q25, med, q75 = np.percentile(vals, [25.0, 50.0, 75.0])
-        table.append((label, n_shots, float(q25), float(med), float(q75)))
+        # a NaN makes every quartile NaN, as in np.percentile
+        ordered = [math.nan] if any(map(math.isnan, vals)) else sorted(vals)
+        q25, med, q75 = (_linear_quantile(ordered, q) for q in (0.25, 0.5, 0.75))
+        table.append((label, n_shots, q25, med, q75))
     return table
 
 

@@ -2,10 +2,10 @@
 
 A reconstruction model pairs each circuit with effective measurement
 operators computed from assumed preparation and readout (ideal by
-default, or any DiagonalSpamModel), built gate by gate on the code path
-that also gives the simulator its model; the state and process fits
-use it only as a real design matrix A, through A x and A^T w, and
-`completeness_check` takes its rank.
+default, or any DiagonalSpamModel), each distinct preparation and
+setting evolved once, on the code path that also gives the simulator its
+model; the state and process fits use it only as a real design matrix
+A, through A x and A^T w, and `completeness_check` takes its rank.
 Both state fits, the full-rank one and its rank-1 restriction, run one
 diluted fixed-point ascent ("Diluted maximum-likelihood algorithm for
 quantum tomography", Rehacek, Hradil, Knill & Lvovsky 2007).  Processes
@@ -191,11 +191,12 @@ def build_measurement_model(protocol, spam=None, gate_depol_p=0.0):
     """Effective operators of `protocol` under an assumed SPAM model.
 
     `spam` is a DiagonalSpamModel or None for ideal preparation/readout.
-    The operators are built gate by gate in the Heisenberg picture, with
-    a depolarizing factor `gate_depol_p` folded in after every gate.  The
-    simulator (`sim.outcome_probabilities`) uses the known gate noise; the
-    fits use the default 0, which depolarizes nothing and takes the gates
-    as ideal, so only SPAM enters their model.
+    Each distinct preparation and setting is evolved once, gate by gate,
+    the settings in the Heisenberg picture, with a depolarizing factor
+    `gate_depol_p` folded in after every gate.  The simulator
+    (`sim.outcome_probabilities`) uses the known gate noise; the fits use
+    the default 0, which depolarizes nothing and takes the gates as
+    ideal, so only SPAM enters their model.
     """
     dim = protocol.dim
     model = readout.ideal_spam_model(dim) if spam is None else spam
@@ -208,21 +209,30 @@ def build_measurement_model(protocol, spam=None, gate_depol_p=0.0):
     n_out = povm.shape[0]
     dd = dim if protocol.kind == "qst" else dim * dim
     ops = np.zeros((len(protocol.circuits), n_out, dd, dd), dtype=complex)
+    # a protocol repeats its settings and preparations across circuits, so
+    # each distinct gate tuple is evolved once
+    settings, preparations = {}, {}
     for c, circuit in enumerate(protocol.circuits):
-        effects = povm
-        for g in reversed(circuit.meas):
-            u = gate_unitary(g, dim)
-            effects = qcore.dagger(u) @ qcore.depolarize(effects, gate_depol_p) @ u
+        effects = settings.get(circuit.meas)
+        if effects is None:
+            effects = povm
+            for g in reversed(circuit.meas):
+                u = gate_unitary(g, dim)
+                effects = qcore.dagger(u) @ qcore.depolarize(effects, gate_depol_p) @ u
+            settings[circuit.meas] = effects
         if protocol.kind == "qst":
             if circuit.prep:
                 raise ValueError(
                     f"state-tomography circuit {circuit.label!r} has prep gates")
             ops[c] = effects
         else:
-            rho_i = rho0
-            for g in circuit.prep:
-                u = gate_unitary(g, dim)
-                rho_i = qcore.depolarize(u @ rho_i @ qcore.dagger(u), gate_depol_p)
+            rho_i = preparations.get(circuit.prep)
+            if rho_i is None:
+                rho_i = rho0
+                for g in circuit.prep:
+                    u = gate_unitary(g, dim)
+                    rho_i = qcore.depolarize(u @ rho_i @ qcore.dagger(u), gate_depol_p)
+                preparations[circuit.prep] = rho_i
             # kron(rho_i^T, E_k) for every outcome k in one broadcast product
             ops[c] = (rho_i.T[None, :, None, :, None]
                       * effects[:, None, :, None, :]).reshape(n_out, dd, dd)
@@ -522,6 +532,14 @@ def select_rank(full, pure):
     return pure if _keeps_pure(full.log_likelihood, pure) else full
 
 
+@functools.cache
+def _cptp_constants(d):
+    """The identity of dimension d and the Newton ridge of `project_cptp`."""
+    eye, ridge = np.eye(d), 1e-12 * np.eye(d * d)
+    eye.flags.writeable = ridge.flags.writeable = False
+    return eye, ridge
+
+
 def project_cptp(choi, warm=None):
     """Euclidean projection of a Hermitian matrix onto the CPTP Choi matrices.
 
@@ -551,9 +569,8 @@ def project_cptp(choi, warm=None):
     """
     g = (choi + qcore.dagger(choi)) / 2
     d2 = g.shape[0]
-    d = int(round(np.sqrt(d2)))
-    eye = np.eye(d)
-    ridge = 1e-12 * np.eye(d * d)
+    d = math.isqrt(d2)
+    eye, ridge = _cptp_constants(d)
 
     def evaluate(lam):
         # L (x) I by broadcasting, in the (input, output) index order
@@ -561,17 +578,18 @@ def project_cptp(choi, warm=None):
         w, v = np.linalg.eigh(g - shift)
         wp = np.maximum(w, 0.0)
         v3 = v.reshape(d, d, d2)
+        v3c = v3.conj()
         # Tr_out J = sum_ap wp_p V[i,a,p] conj(V[j,a,p])
-        out_trace = (v3 * wp).reshape(d, -1) @ v3.conj().reshape(d, -1).T
+        out_trace = (v3 * wp).reshape(d, -1) @ v3c.reshape(d, -1).T
         resid = eye - out_trace
         theta = 0.5 * float(wp @ wp) + lam.trace().real
-        return theta, resid, float(np.abs(resid).max()), w, v3
+        return theta, resid, float(np.abs(resid).max()), w, wp, v3, v3c
 
     def solve(lam, worst=np.inf):
         # Newton from `lam`, given up at once where the residual is at
-        # least `worst`: the final multiplier, residual and
-        # eigendecomposition, and the linearization of the last step
-        theta, resid, err, w, v3 = evaluate(lam)
+        # least `worst`: the final multiplier, residual, eigendecomposition
+        # and positive part, and the linearization of the last step
+        theta, resid, err, w, wp, v3, v3c = evaluate(lam)
         linear = None
         for _ in range(CPTP_MAX_ITER if err < worst else 0):
             if err <= CPTP_TOL:
@@ -579,13 +597,12 @@ def project_cptp(choi, warm=None):
             # divided differences of max(., 0) at the eigenvalues; a tie
             # takes the derivative, 1 above zero and 0 at or below it
             pos = w > 0
-            wp = np.maximum(w, 0.0)
             gaps = w[:, None] - w[None, :]
             omega = np.divide(wp[:, None] - wp[None, :], gaps, where=gaps != 0,
                               out=(pos[:, None] & pos[None, :]).astype(float))
             # Hessian on the matrix units e_kl: M_kl = V^H (e_kl (x) I) V and
             # H[(ij), (kl)] = sum_pq conj(M_ij) * omega * M_kl, Hermitian PSD
-            m = np.einsum("iap,jaq->ijpq", v3.conj(), v3).reshape(d * d, d2 * d2)
+            m = np.einsum("iap,jaq->ijpq", v3c, v3).reshape(d * d, d2 * d2)
             hess = m.conj() @ (omega.ravel() * m).T + ridge
             linear = (v3, omega, hess)
             step = np.linalg.solve(hess, -resid.ravel())
@@ -603,8 +620,8 @@ def project_cptp(choi, warm=None):
             else:
                 break
             lam = lam + t * step
-            theta, resid, err, w, v3 = trial
-        return lam, err, w, v3, linear
+            theta, resid, err, w, wp, v3, v3c = trial
+        return lam, err, wp, v3, v3c, linear
 
     result = None
     if warm:
@@ -624,13 +641,12 @@ def project_cptp(choi, warm=None):
                 result = None
     if result is None:
         result = solve((qcore.choi_output_trace(g) - eye) / d)
-    lam, err, w, v3, linear = result
+    lam, err, wp, v3, v3c, linear = result
     if warm is not None and err <= CPTP_TOL:
         linear = linear or warm.get("linear")
         if linear:
             warm.update(g=g, lam=lam, linear=linear)
-    vd = v3.reshape(d2, d2)
-    j = (vd * np.maximum(w, 0.0)) @ qcore.dagger(vd)
+    j = (v3.reshape(d2, d2) * wp) @ v3c.reshape(d2, d2).T
     return (j + qcore.dagger(j)) / 2
 
 

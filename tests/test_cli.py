@@ -72,6 +72,28 @@ def test_summary_matches_raw_rows(tmp_path):
         assert np.array_equal(got, want)
 
 
+def test_summary_quartiles_match_numpy_bit_for_bit():
+    rng = np.random.default_rng(28)
+    for n in range(1, 61):
+        for ties in (False, True):
+            vals = rng.lognormal(-8.0, 2.0, size=n)
+            if ties:
+                # a few distinct values, each repeated
+                vals = rng.choice(vals[: max(1, n // 4)], size=n)
+            rows = [("qpt_models", "L", 3, 100, t, v) for t, v in enumerate(vals)]
+            [(_, _, *got)] = cli.summarize(rows)
+            want = np.percentile(vals, [25.0, 50.0, 75.0])
+            assert np.array_equal(np.array(got).view(np.uint64),
+                                  want.view(np.uint64)), (n, ties)
+
+
+def test_summary_of_a_nan_is_nan_as_in_numpy():
+    rows = [("qst_compare", "MUB", 3, 100, t, v)
+            for t, v in enumerate([0.1, float("nan"), 0.3])]
+    [(_, _, *got)] = cli.summarize(rows)
+    assert np.isnan(got).all()
+
+
 def test_rerun_is_byte_identical(tmp_path):
     out = tmp_path / "qst.csv"
     argv = ["qst-compare", "--grid", "200", "--trials", "2",
@@ -316,6 +338,38 @@ def test_non_finite_numbers_exit_with_config_error(argv, config, message,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"trials": 1.5, "grid": [1000.7], "seed": 2.9},
+     "trials must be an integer, got 1.5"),
+    ({"trials": True}, "trials must be an integer, got True"),
+    ({"dim": 3.5}, "dim must be an integer, got 3.5"),
+    ({"calibration_shots": 1e6 + 0.5},
+     "calibration_shots must be an integer, got 1000000.5"),
+    ({"seed": 2.9}, "seed must be an integer, got 2.9"),
+    ({"seed": False}, "seed must be an integer, got False"),
+    ({"grid": [1000.7]}, "grid must be an integer, got 1000.7"),
+    ({"grid": [True]}, "grid must be an integer, got True"),
+], ids=["trials-grid-seed", "trials-bool", "dim", "calibration_shots", "seed",
+        "seed-bool", "grid", "grid-bool"])
+def test_fractional_config_integers_exit_with_config_error(config, message,
+                                                           tmp_path, capsys):
+    # int() would truncate these silently
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "x.csv"
+    assert run_main(["qpt-models", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_float_config_integers_are_accepted():
+    cfg = cli.ExperimentConfig(experiment="qpt_models", dim=3.0, trials=2e0,
+                               calibration_shots=1e6, seed=7.0, grid=(1e3, 1e6))
+    assert (cfg.dim, cfg.trials, cfg.calibration_shots, cfg.seed) == (3, 2, 10 ** 6, 7)
+    assert cfg.grid == (1000, 10 ** 6)
+    assert all(type(v) is int for v in (cfg.dim, cfg.trials, cfg.seed) + cfg.grid)
+
+
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert run_main(["qst-compare", "--config", str(missing)]) == 2
@@ -429,6 +483,22 @@ def test_cli_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, check=True, env=_package_env())
     assert out.stdout.strip() == "False"
+
+
+def test_commands_load_no_numpy_ma(tmp_path):
+    # np.percentile imports numpy.ma on its first call; the summary
+    # quartiles do without it
+    script = (
+        "import sys\n"
+        "from qudittomo import cli\n"
+        "for argv in (['qpt-models', '--grid', '300', '--trials', '1'],\n"
+        "             ['qst-compare', '--grid', '200', '--trials', '2']):\n"
+        "    assert cli.main(argv + ['--out', argv[0] + '.csv']) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, cwd=tmp_path, env=_package_env())
+    assert out.stdout.splitlines()[-1] == "False"
+    assert len(list(tmp_path.glob("*.summary.csv"))) == 2
 
 
 def test_commands_run_where_scipy_cannot_be_imported(tmp_path):

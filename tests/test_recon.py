@@ -18,7 +18,7 @@ import scipy.stats
 
 from qudittomo import protocols, qcore, readout, recon, sim
 
-from helpers import ket
+from helpers import ket, per_circuit_operators
 
 
 # thermal initialization (T = 1) and cascade readout (b0 = 0.01, b1 = 0.02)
@@ -81,6 +81,29 @@ class TestMeasurementModel:
         w = rng.uniform(0.0, 2.0, size=model.n_circuits * model.n_outcomes)
         want = np.einsum("n,nij->ij", w, ops.reshape(-1, dd, dd))
         assert np.max(np.abs(model.weighted_sum(w) - want)) < 1e-12
+
+    @pytest.mark.parametrize("gate_depol_p", [0.0, 1e-3])
+    @pytest.mark.parametrize("spam", ["ideal", "thermal"])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    @pytest.mark.parametrize("family", [
+        "qst_two_level", "mub_protocol", "qpt_two_level",
+        "spam_calibration_circuits", "shuffled_qpt"])
+    def test_shared_gate_tuples_match_the_per_circuit_build(self, family, dim,
+                                                            spam, gate_depol_p):
+        # the build evolves each distinct preparation and setting once; a
+        # shuffled process protocol scatters the circuits that share one
+        if family == "shuffled_qpt":
+            circuits = list(protocols.qpt_two_level(dim).circuits)
+            order = qcore.make_rng(25, f"shuffle-{dim}").permutation(len(circuits))
+            protocol = protocols.TomographyProtocol(
+                "qpt", dim, [circuits[i] for i in order])
+        else:
+            protocol = getattr(protocols, family)(dim)
+        spam = (None if spam == "ideal" else
+                readout.gibbs_cascade_model(dim, 1.0, np.arange(dim), 0.01, 0.02))
+        model = recon.build_measurement_model(protocol, spam, gate_depol_p)
+        want = per_circuit_operators(protocol, spam, gate_depol_p)
+        assert np.array_equal(model.operators.view(np.uint64), want.view(np.uint64))
 
     def test_true_spam_model_matches_simulator(self):
         # with no gate noise, model probabilities equal simulated ones
