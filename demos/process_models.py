@@ -42,7 +42,7 @@ calibration = sim.run_protocol(protocols.spam_calibration_circuits(DIM),
                                None, noise, 1_000_000, seed=15)
 general = recon.estimate_spam_general(calibration,
                                       gate_depol_p=noise.gate_depol_p)
-clicks = readout.level_reads(DIM, B0, B1) @ spam.populations
+clicks = readout.level_clicks(spam.populations, B0, B1)
 reads = sim.simulate_level_reads(clicks, 1_000_000, seed=16)
 gibbs = recon.estimate_spam_gibbs(reads, OMEGAS).estimate
 

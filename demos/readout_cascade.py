@@ -20,7 +20,7 @@ from qudittomo import qcore, readout
 DIM = 3
 B0, B1 = 0.01, 0.02
 
-reads = readout.level_reads(DIM, B0, B1)
+reads = readout.level_clicks(np.eye(DIM), B0, B1)
 response = readout.cascade_response(reads[1:])
 
 print(f"cascade response for d={DIM}, miss b0={B0}, false click b1={B1}")
@@ -33,7 +33,8 @@ print(f"  completeness: max |column sum - 1| = "
 # thermal initialization at T = 1 with level energies (0, 4, 6)
 pops = readout.gibbs_populations(1.0, np.array([0.0, 4.0, 6.0]))
 print(f"\nGibbs populations at T=1: {np.round(pops, 5)}")
-print(f"single-level click probabilities: {np.round(reads @ pops, 5)}")
+print("single-level click probabilities: "
+      f"{np.round(readout.level_clicks(pops, B0, B1), 5)}")
 
 model = readout.gibbs_cascade_model(DIM, 1.0, np.array([0.0, 4.0, 6.0]), B0, B1)
 

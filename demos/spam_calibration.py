@@ -49,7 +49,7 @@ print("  (populations and response are only defined up to a flat set;")
 print("   the residual above is the meaningful figure)")
 
 # --- thermal three-parameter fit -------------------------------------
-clicks = readout.level_reads(3, B0, B1) @ spam.populations
+clicks = readout.level_clicks(spam.populations, B0, B1)
 reads = sim.simulate_level_reads(clicks, SHOTS, seed=13)
 gibbs = recon.estimate_spam_gibbs(reads, OMEGAS)
 est = gibbs.estimate

@@ -64,8 +64,8 @@ class NumericalError(RuntimeError):
 def _finite(kind, name, value):
     """`kind(value)` for the config field `name`, which must be finite.
 
-    An int field takes only integral numbers, so 1e6 but neither 1.5 nor
-    a boolean: `int` would truncate them silently.
+    No field takes a boolean, which would read as 0 or 1, and an int field
+    only integral numbers: 1e6 but not 1.5, which `int` would truncate.
     """
     try:
         number = float(value)
@@ -73,9 +73,9 @@ def _finite(kind, name, value):
         raise ConfigError(f"{name} is too large for a float") from None
     if not math.isfinite(number):
         raise ConfigError(f"{name} must be finite, got {value!r}")
-    if kind is int and (isinstance(value, (bool, np.bool_))
-                        or not number.is_integer()):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, (bool, np.bool_)) or not (kind is float or number.is_integer()):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
     return kind(value)
 
 
@@ -356,7 +356,7 @@ def _full_noise(config):
                                            config.b0, config.b1)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    clicks = readout.level_reads(dim, config.b0, config.b1) @ spam.populations
+    clicks = readout.level_clicks(spam.populations, config.b0, config.b1)
     return sim.NoiseConfig(gate_depol_p=config.gate_depol_p, spam=spam), clicks
 
 

@@ -144,9 +144,8 @@ def check_choi(choi, atol_tp=ATOL_TRACE_PRESERVING):
     wmin = np.linalg.eigvalsh((choi + dagger(choi)) / 2).min()
     if wmin < -ATOL_PSD:
         raise ValueError(f"Choi matrix has negative eigenvalue {wmin}")
-    d = int(round(np.sqrt(choi.shape[0])))
     tin = choi_output_trace(choi)
-    if np.max(np.abs(tin - np.eye(d))) > atol_tp:
+    if np.max(np.abs(tin - np.eye(tin.shape[0]))) > atol_tp:
         raise ValueError("Choi matrix is not trace preserving")
 
 
@@ -154,12 +153,12 @@ def choi_depolarize(choi, p):
     """Compose a depolarizing channel after the channel given by `choi`."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing probability {p} outside [0, 1]")
-    d2 = choi.shape[0]
-    d = int(round(np.sqrt(d2)))
-    j4 = np.asarray(choi, dtype=complex).reshape(d, d, d, d)
-    t = np.einsum("iaja->ij", j4)
-    out = (1.0 - p) * j4 + (p / d) * np.einsum("ij,ab->iajb", t, np.eye(d))
-    return out.reshape(d2, d2)
+    choi = np.asarray(choi, dtype=complex)
+    t = choi_output_trace(choi)
+    d = t.shape[0]
+    out = ((1.0 - p) * choi.reshape(d, d, d, d)
+           + (p / d) * np.einsum("ij,ab->iajb", t, np.eye(d)))
+    return out.reshape(choi.shape)
 
 
 def apply_choi(choi, rho, check=True):

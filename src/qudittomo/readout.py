@@ -4,10 +4,11 @@ Readout of a qudit happens as a cascade of binary level reads: level 1 is
 interrogated first, then level 2 on the no-click branch, and so on; outcome
 0 means no level clicked.  Each binary read has a false-negative rate b0
 (a populated level stays dark) and a false-positive rate b1 (an empty
-level clicks); `level_reads` gives its click probabilities per true
-level.  All of this is diagonal in the level basis, so the cascade is
-plain arithmetic on those probabilities: `cascade_response` chains the
-reads into the response matrix.
+level clicks).  `level_clicks` gives the reads' click probabilities on
+level populations: it is the one level-read model, of the simulated
+reads, the thermal fit and the cascade.  All of this is diagonal in the
+level basis, so the cascade is plain arithmetic on those probabilities:
+`cascade_response` chains the reads into the response matrix.
 
 Preparation errors are modeled by a diagonal initial state; thermal
 initialization assigns Boltzmann weights exp(-omega_j / T) to the levels.
@@ -28,18 +29,20 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def level_reads(dim, b0, b1):
-    """Click probabilities r[j, m] of a binary read of level j on true level m.
+def level_clicks(populations, b0, b1):
+    """Click probabilities (1 - b0) a + b1 (1 - a) of each level's read.
 
     A read clicks with probability 1 - b0 on its own level (b0 is the miss
-    rate) and b1 on every other level (the false-click rate).
+    rate) and b1 on every other level (the false-click rate).  b0 and b1
+    broadcast against the rows of populations a; on the identity, row m
+    holds the clicks of every read on true level m.
     """
     for name, val in (("b0", b0), ("b1", b1)):
-        if not 0.0 <= val <= 1.0:
+        rate = np.asarray(val)
+        if not (0.0 <= rate.min() and rate.max() <= 1.0):
             raise ValueError(f"{name} must lie in [0, 1], got {val}")
-    r = np.full((dim, dim), float(b1))
-    np.fill_diagonal(r, 1.0 - b0)
-    return r
+    a = np.asarray(populations, dtype=float)
+    return (1.0 - b0) * a + b1 * (1.0 - a)
 
 
 def cascade_response(reads):
@@ -63,8 +66,8 @@ def cascade_response(reads):
 
 
 def gibbs_populations(temperature, omegas):
-    """Boltzmann level populations exp(-omega_j / T), normalized."""
-    if not temperature > 0:
+    """Boltzmann level populations exp(-omega_j / T), one row per T of a column."""
+    if not np.all(temperature > 0):
         raise ValueError(f"temperature must be positive, got {temperature}")
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1 or omegas.size < 2:
@@ -72,7 +75,7 @@ def gibbs_populations(temperature, omegas):
     if not np.all(np.isfinite(omegas)):
         raise ValueError("level energies must be finite")
     w = np.exp(-(omegas - omegas.min()) / temperature)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +146,7 @@ def gibbs_cascade_model(dim, temperature, omegas, b0, b1):
     if omegas.size != dim:
         raise ValueError(f"need {dim} level energies, got {omegas.size}")
     return DiagonalSpamModel(gibbs_populations(temperature, omegas),
-                             cascade_response(level_reads(dim, b0, b1)[1:]))
+                             cascade_response(level_clicks(np.eye(dim), b0, b1)[1:]))
 
 
 def gauge_transform(model, p):

@@ -145,10 +145,10 @@ def _jsonify(obj):
 class MeasurementModel:
     """Effective measurement operators of a protocol under assumed SPAM.
 
-    `operators` is stacked (n_circuits, n_outcomes, D, D): for state
-    tomography D = d and probabilities are Tr(rho B_ik); for process
-    tomography D = d^2, the operators are rho_i^T (x) P_ik, and
-    probabilities are Tr(J A_ik) for the Choi matrix J.
+    `operators` is stacked (n_circuits, n_outcomes, D, D), each
+    rho_i^T (x) P_ik, and probabilities are Tr(J A_ik): for process
+    tomography D = d^2 and J is the Choi matrix; a state is the process
+    with the one-dimensional input rho_i = 1, so D = d and J = rho.
 
     The operators are Hermitian, so Re Tr(A x) = sum_ij (Re A_ij Re x_ij
     + Im A_ij Im x_ij) for any x: with `matrix`, one real row per outcome,
@@ -196,7 +196,8 @@ def build_measurement_model(protocol, spam=None, gate_depol_p=0.0):
     `gate_depol_p` folded in after every gate.  The simulator
     (`sim.outcome_probabilities`) uses the known gate noise; the fits use
     the default 0, which depolarizes nothing and takes the gates as
-    ideal, so only SPAM enters their model.
+    ideal, so only SPAM enters their model.  A state-tomography circuit
+    prepares the one-dimensional input 1, not the initial state.
     """
     dim = protocol.dim
     model = readout.ideal_spam_model(dim) if spam is None else spam
@@ -204,10 +205,11 @@ def build_measurement_model(protocol, spam=None, gate_depol_p=0.0):
         raise ValueError(f"SPAM dimension {model.dim} != protocol dimension {dim}")
     if not 0.0 <= gate_depol_p <= 1.0:
         raise ValueError(f"gate_depol_p must lie in [0, 1], got {gate_depol_p}")
-    rho0 = model.initial_state()
+    qst = protocol.kind == "qst"
+    rho0 = np.ones((1, 1)) if qst else model.initial_state()
     povm = model.povm()
     n_out = povm.shape[0]
-    dd = dim if protocol.kind == "qst" else dim * dim
+    dd = rho0.shape[0] * dim
     ops = np.zeros((len(protocol.circuits), n_out, dd, dd), dtype=complex)
     # a protocol repeats its settings and preparations across circuits, so
     # each distinct gate tuple is evolved once
@@ -220,22 +222,19 @@ def build_measurement_model(protocol, spam=None, gate_depol_p=0.0):
                 u = gate_unitary(g, dim)
                 effects = qcore.dagger(u) @ qcore.depolarize(effects, gate_depol_p) @ u
             settings[circuit.meas] = effects
-        if protocol.kind == "qst":
-            if circuit.prep:
-                raise ValueError(
-                    f"state-tomography circuit {circuit.label!r} has prep gates")
-            ops[c] = effects
-        else:
-            rho_i = preparations.get(circuit.prep)
-            if rho_i is None:
-                rho_i = rho0
-                for g in circuit.prep:
-                    u = gate_unitary(g, dim)
-                    rho_i = qcore.depolarize(u @ rho_i @ qcore.dagger(u), gate_depol_p)
-                preparations[circuit.prep] = rho_i
-            # kron(rho_i^T, E_k) for every outcome k in one broadcast product
-            ops[c] = (rho_i.T[None, :, None, :, None]
-                      * effects[:, None, :, None, :]).reshape(n_out, dd, dd)
+        if qst and circuit.prep:
+            raise ValueError(
+                f"state-tomography circuit {circuit.label!r} has prep gates")
+        rho_i = preparations.get(circuit.prep)
+        if rho_i is None:
+            rho_i = rho0
+            for g in circuit.prep:
+                u = gate_unitary(g, dim)
+                rho_i = qcore.depolarize(u @ rho_i @ qcore.dagger(u), gate_depol_p)
+            preparations[circuit.prep] = rho_i
+        # kron(rho_i^T, E_k) for every outcome k in one broadcast product
+        ops[c] = (rho_i.T[None, :, None, :, None]
+                  * effects[:, None, :, None, :]).reshape(n_out, dd, dd)
     labels = tuple(c.label for c in protocol.circuits)
     return MeasurementModel(protocol.kind, dim, labels, ops)
 
@@ -245,17 +244,16 @@ def completeness_check(protocol):
 
     Returns (rank, complete): the numerical rank (relative tolerance
     1e-8) of the real design matrix `matrix` of the ideal-SPAM
-    `build_measurement_model(protocol)`, one row per outcome
-    (for 'qpt', of the operators rho_i^T (x) P_ik that act on the Choi
-    matrix).  A protocol is complete when the rank reaches d^2 for states
-    or d^4 for processes.  The operators are Hermitian, so the real rows
-    span a space of the same dimension as the complex operators.
+    `build_measurement_model(protocol)`, one row per outcome of the
+    D x D operators rho_i^T (x) P_ik.  A protocol is complete when the
+    rank reaches D^2, d^2 for states and d^4 for processes: the
+    operators are Hermitian, so the real rows span a space of the same
+    dimension as the complex operators.
     """
     design = build_measurement_model(protocol).matrix
     svals = np.linalg.svd(design, compute_uv=False)
     rank = int(np.sum(svals > 1e-8 * svals[0]))
-    target = protocol.dim ** 2 if protocol.kind == "qst" else protocol.dim ** 4
-    return rank, rank == target
+    return rank, rank == design.shape[1] // 2
 
 
 def _checked_counts(data, shape):
@@ -1084,25 +1082,24 @@ def _fit_rates(dark, clicks, populations, rates):
     """Maximize the thermal-readout likelihood over (b0, b1), one row per T.
 
     Row r of `populations` holds thermal populations a; the click
-    probabilities (1 - b0) a + b1 (1 - a) are affine in the rates, so the
-    per-shot log-likelihood is concave on the [0, RATE_MAX]^2 box.  Every
-    row takes projected Newton steps from its row of `rates`: a
-    coordinate at a bound whose gradient points outward, or whose Newton
-    step does, stays put; the other step is the closed-form 2 x 2 solve,
-    halved until it passes a projected Armijo test without lowering the
-    likelihood, or until concavity bounds the gain of an unclipped step
-    by RATE_GAIN.  A full unclipped step so bounded is taken without the
-    test, whose rise rounding hides, so that the rates, and the profile
-    slope `estimate_spam_gibbs` computes from them, are exact to rounding.
-    A row stops once a step gains at most RATE_GAIN per shot.  Returns
-    the rates, the per-shot log-likelihoods, the Newton iterations per
-    row and whether each row stopped on its gain.
+    probabilities `readout.level_clicks`, the simulator's own model, are
+    affine in the rates, so the per-shot log-likelihood is concave on the
+    [0, RATE_MAX]^2 box.  Every row takes projected Newton steps from its
+    row of `rates`: a coordinate at a bound whose gradient points outward,
+    or whose Newton step does, stays put; the other step is the
+    closed-form 2 x 2 solve, halved until it passes a projected Armijo
+    test without lowering the likelihood, or until concavity bounds the
+    gain of an unclipped step by RATE_GAIN.  A full unclipped step so
+    bounded is taken without the test, whose rise rounding hides, so that
+    the rates, and the profile slope `estimate_spam_gibbs` computes from
+    them, are exact to rounding.  A row stops once a step gains at most
+    RATE_GAIN per shot.  Returns the rates, the per-shot log-likelihoods,
+    the Newton iterations per row and whether each row stopped on its gain.
     """
     n_total = dark.sum() + clicks.sum()
 
     def loglik(idx, x):
-        a = populations[idx]
-        p = (1.0 - x[:, :1]) * a + x[:, 1:] * (1.0 - a)
+        p = readout.level_clicks(populations[idx], x[:, :1], x[:, 1:])
         q = np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
         ll = (np.log(q) * clicks + np.log1p(-q) * dark).sum(axis=1) / n_total
         # a probability clipped against observed counts: the likelihood
@@ -1163,12 +1160,13 @@ def _profile_slopes(dark, clicks, omegas, log_temps, populations, rates):
     """d/d log T of the per-shot profile log-likelihood, one row per T.
 
     By the envelope theorem it is the partial derivative at the fitted
-    rates (b0, b1): with click probabilities p = b1 + (1 - b0 - b1) a and
-    d a_j / d log T = a_j (omega_j - sum_k a_k omega_k) / T, it is
+    rates (b0, b1): the click probabilities p of `readout.level_clicks`
+    have dp_j / da_j = 1 - b0 - b1, and d a_j / d log T =
+    a_j (omega_j - sum_k a_k omega_k) / T, so it is
     sum_j (clicks_j / p_j - dark_j / (1 - p_j)) dp_j / d log T per shot.
     """
     b0, b1 = rates[:, :1], rates[:, 1:]
-    p = np.clip((1.0 - b0) * populations + b1 * (1.0 - populations),
+    p = np.clip(readout.level_clicks(populations, b0, b1),
                 PROB_FLOOR, 1.0 - PROB_FLOOR)
     da = (populations * (omegas - populations @ omegas[:, None])
           / np.exp(log_temps)[:, None])
@@ -1180,8 +1178,9 @@ def estimate_spam_gibbs(data, omegas):
     """Fit the thermal readout model (T, b0, b1) to single-level read counts.
 
     `data` holds binary counts (no-click, click) per level from
-    `simulate_level_reads`; the click probability of level j is
-    (1 - b0) a_j + b1 (1 - a_j) with thermal populations a(T).  Unlike the
+    `simulate_level_reads`, with click probabilities `readout.level_clicks`
+    of the thermal populations a(T), the model the reads are simulated
+    from, so the fit and the simulated truth share it.  Unlike the
     general diagonal fit this three-parameter family has no gauge freedom
     at d >= 3.  At d = 2 it is not identified (three parameters, two
     binary frequencies): fits within 6e-11 in log-likelihood differed in T
@@ -1211,8 +1210,7 @@ def estimate_spam_gibbs(data, omegas):
 
     def profile(log_temps, rates):
         log_temps = np.asarray(log_temps, dtype=float)
-        pops = np.stack([readout.gibbs_populations(np.exp(t), omegas)
-                         for t in log_temps])
+        pops = readout.gibbs_populations(np.exp(log_temps)[:, None], omegas)
         rates, ll, iterations, settled = _fit_rates(dark, clicks, pops, rates)
         slopes = _profile_slopes(dark, clicks, omegas, log_temps, pops, rates)
         return rates, ll, slopes, iterations, settled
@@ -1262,7 +1260,7 @@ def estimate_spam_gibbs(data, omegas):
     temp = float(np.exp(log_temp))
     b0, b1 = (float(v) for v in rates[0])
     a = readout.gibbs_populations(temp, omegas)
-    p_fit = (1.0 - b0) * a + b1 * (1.0 - a)
+    p_fit = readout.level_clicks(a, b0, b1)
     return _fit_report({"temperature": temp, "b0": b0, "b1": b1},
                        np.stack([1.0 - p_fit, p_fit], axis=1), data,
                        grid.size + refined, stop_reason,

@@ -7,8 +7,8 @@ Every two-level gate is followed by a depolarizing channel of strength
 `gate_depol_p`.  Preparation and readout errors are one
 `readout.DiagonalSpamModel` (populations and response matrix), held by
 `NoiseConfig` and resolved per dimension by `NoiseConfig.spam_model`;
-`simulate_level_reads` samples single-level reads from click
-probabilities its caller computes, e.g. with `readout.level_reads`.
+`simulate_level_reads` samples single-level reads from given click
+probabilities, for the cascade `readout.level_clicks`, the fit's model.
 Outcome probabilities come from the reconstruction's own forward model,
 `recon.build_measurement_model` at the configured gate noise, so the
 simulator and the state and process fits share one model of a circuit.
@@ -228,8 +228,8 @@ def simulate_level_reads(clicks, total_shots, seed):
 
     Circuit j interrogates level j alone and clicks (outcome 1) with
     probability `clicks[j]`; for the cascade's level reads on populations
-    a these are `readout.level_reads(d, b0, b1) @ a`.  Used to calibrate
-    the thermal-initialization readout model.
+    a these are `readout.level_clicks(a, b0, b1)`, the model that
+    `recon.estimate_spam_gibbs` fits to them.
     """
     p_clicks = np.clip(np.asarray(clicks, dtype=float), 0.0, 1.0)
     dim = p_clicks.size

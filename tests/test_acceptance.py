@@ -44,7 +44,7 @@ def calibration_loglik(data, model, gate_depol_p, dim):
 # thermal initialization (T = 1) and cascade readout (b0 = 0.01, b1 = 0.02)
 OMEGAS = np.array([0.0, 4.0, 6.0])
 SPAM = readout.gibbs_cascade_model(3, 1.0, OMEGAS, 0.01, 0.02)
-CLICKS = readout.level_reads(3, 0.01, 0.02) @ SPAM.populations
+CLICKS = readout.level_clicks(SPAM.populations, 0.01, 0.02)
 
 
 def test_criterion_1_protocol_crossover():
@@ -152,10 +152,10 @@ def test_criterion_6_structural_counts():
 
 
 def test_criterion_7_cascade_povm_correctness():
-    ideal = readout.cascade_response(readout.level_reads(3, 0.0, 0.0)[1:])
+    ideal = readout.cascade_response(readout.level_clicks(np.eye(3), 0.0, 0.0)[1:])
     assert np.array_equal(ideal, np.eye(3))
 
-    noisy = readout.cascade_response(readout.level_reads(3, 0.01, 0.02)[1:])
+    noisy = readout.cascade_response(readout.level_clicks(np.eye(3), 0.01, 0.02)[1:])
     frozen = {0: [0.9604, 0.0098, 0.0098],
               1: [0.02, 0.99, 0.02],
               2: [0.0196, 0.0002, 0.9702]}

@@ -362,6 +362,25 @@ def test_fractional_config_integers_exit_with_config_error(config, message,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"b0": True}, "b0 must be a number, got True"),
+    ({"b1": False}, "b1 must be a number, got False"),
+    ({"temperature": True}, "temperature must be a number, got True"),
+    ({"gate_depol_p": False}, "gate_depol_p must be a number, got False"),
+    ({"truth_depol_p": True}, "truth_depol_p must be a number, got True"),
+    ({"omegas": [False, True, 6]}, "omegas must be a number, got False"),
+], ids=["b0", "b1", "temperature", "gate_depol_p", "truth_depol_p", "omegas"])
+def test_boolean_config_numbers_exit_with_config_error(config, message,
+                                                       tmp_path, capsys):
+    # float() would read them as 0 and 1: {"b0": true} is a miss rate of 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "x.json"
+    assert run_main(["spam-fit", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_integral_float_config_integers_are_accepted():
     cfg = cli.ExperimentConfig(experiment="qpt_models", dim=3.0, trials=2e0,
                                calibration_shots=1e6, seed=7.0, grid=(1e3, 1e6))

@@ -14,38 +14,75 @@ from qudittomo import qcore, readout
 from helpers import check_povm, ket
 
 
+def read_matrix(dim, b0, b1):
+    """Click probabilities r[j, m] of the read of level j on true level m."""
+    r = np.full((dim, dim), float(b1))
+    np.fill_diagonal(r, 1.0 - b0)
+    return r
+
+
 class TestLevelReadout:
     def test_noiseless_read_is_a_projector(self):
         # read j clicks exactly on level j
         for dim in (2, 3, 5):
-            assert np.array_equal(readout.level_reads(dim, 0.0, 0.0), np.eye(dim))
+            assert np.array_equal(readout.level_clicks(np.eye(dim), 0.0, 0.0),
+                                  np.eye(dim))
 
     def test_qubit_example(self):
-        r = readout.level_reads(2, 0.01, 0.02)
+        r = readout.level_clicks(np.eye(2), 0.01, 0.02)
         assert np.allclose(r[1], [0.02, 0.99], atol=1e-15)
 
     def test_qutrit_example(self):
-        r = readout.level_reads(3, 0.01, 0.02)
+        r = readout.level_clicks(np.eye(3), 0.01, 0.02)
         assert np.allclose(r[2], [0.02, 0.02, 0.99], atol=1e-15)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 7])
+    @pytest.mark.parametrize("b0, b1", [(0.0, 0.0), (0.01, 0.02), (0.03, 0.07),
+                                        (0.5, 0.5), (1.0, 0.0), (0.0, 1.0),
+                                        (0.1234567, 0.3)])
+    def test_identity_gives_the_read_matrix_bitwise(self, dim, b0, b1):
+        # the read matrix is symmetric: the read of level j on true level m
+        # clicks as the read of level m on true level j
+        r = readout.level_clicks(np.eye(dim), b0, b1)
+        assert np.array_equal(r.view(np.uint64),
+                              read_matrix(dim, b0, b1).view(np.uint64))
+
+    def test_rows_broadcast_like_per_row_calls(self):
+        rng = qcore.make_rng(302, "level-clicks")
+        a = rng.dirichlet(np.ones(4), size=6)
+        b0, b1 = rng.uniform(0, 0.5, size=(6, 1)), rng.uniform(0, 0.5, size=(6, 1))
+        rows = readout.level_clicks(a, b0, b1)
+        for r in range(6):
+            want = readout.level_clicks(a[r], float(b0[r, 0]), float(b1[r, 0]))
+            assert np.array_equal(rows[r].view(np.uint64), want.view(np.uint64))
+        # scalar rates broadcast against every row
+        shared = readout.level_clicks(a, 0.01, 0.02)
+        for r in range(6):
+            assert np.array_equal(shared[r], readout.level_clicks(a[r], 0.01, 0.02))
 
     def test_rejects_out_of_range_inputs(self):
         for dim in (2, 3, 5):
-            with pytest.raises(ValueError):
-                readout.level_reads(dim, -0.1, 0.0)
-            with pytest.raises(ValueError):
-                readout.level_reads(dim, 0.0, 1.2)
+            with pytest.raises(ValueError, match="b0 must lie in"):
+                readout.level_clicks(np.eye(dim), -0.1, 0.0)
+            with pytest.raises(ValueError, match="b1 must lie in"):
+                readout.level_clicks(np.eye(dim), 0.0, 1.2)
+        with pytest.raises(ValueError, match="b0 must lie in"):
+            readout.level_clicks(np.eye(2), np.array([[0.1], [np.nan]]), 0.0)
+        with pytest.raises(ValueError, match="b1 must lie in"):
+            readout.level_clicks(np.eye(2), 0.0, np.array([[0.1], [1.5]]))
 
 
 class TestCascadePovm:
     def test_projective_effects_give_projectors(self):
         for dim in (2, 3, 5):
-            b = readout.cascade_response(readout.level_reads(dim, 0.0, 0.0)[1:])
+            b = readout.cascade_response(
+                readout.level_clicks(np.eye(dim), 0.0, 0.0)[1:])
             assert np.array_equal(b, np.eye(dim))
 
     def test_qutrit_noisy_diagonals(self):
         # hand expansion of b[1] = r_1, b[2] = r_2 (1 - r_1),
         # b[0] = (1 - r_2)(1 - r_1) at b0 = 0.01, b1 = 0.02
-        b = readout.cascade_response(readout.level_reads(3, 0.01, 0.02)[1:])
+        b = readout.cascade_response(readout.level_clicks(np.eye(3), 0.01, 0.02)[1:])
         want = {
             1: [0.02, 0.99, 0.02],
             2: [0.0196, 0.0002, 0.9702],
@@ -58,7 +95,7 @@ class TestCascadePovm:
     def test_response_is_the_first_click_distribution(self, dim):
         # outcome k: reads 1 .. k-1 miss and read k clicks; outcome 0: all miss
         b0, b1 = 0.03, 0.07
-        r = readout.level_reads(dim, b0, b1)
+        r = readout.level_clicks(np.eye(dim), b0, b1)
         b = readout.cascade_response(r[1:])
         for j in range(dim):
             stay = 1.0
@@ -113,11 +150,21 @@ class TestGibbsPopulations:
             assert np.all(np.diff(a) <= 1e-15)
             assert abs(a.sum() - 1.0) < 1e-12
 
+    def test_column_of_temperatures_matches_per_temperature_calls(self):
+        omegas = np.array([0.0, 4.0, 6.0])
+        temps = np.exp(np.linspace(np.log(1e-6), np.log(100.0), 41))
+        rows = readout.gibbs_populations(temps[:, None], omegas)
+        assert rows.shape == (41, 3)
+        want = np.stack([readout.gibbs_populations(t, omegas) for t in temps])
+        assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
+
     def test_rejects_bad_temperature(self):
         with pytest.raises(ValueError):
             readout.gibbs_populations(0.0, np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             readout.gibbs_populations(-1.0, np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            readout.gibbs_populations(np.array([[1.0], [0.0]]), np.array([0.0, 1.0]))
 
 
 class TestDiagonalModels:

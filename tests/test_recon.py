@@ -23,7 +23,7 @@ from helpers import ket, per_circuit_operators
 
 # thermal initialization (T = 1) and cascade readout (b0 = 0.01, b1 = 0.02)
 THERMAL_SPAM = readout.gibbs_cascade_model(3, 1.0, (0.0, 4.0, 6.0), 0.01, 0.02)
-THERMAL_CLICKS = readout.level_reads(3, 0.01, 0.02) @ THERMAL_SPAM.populations
+THERMAL_CLICKS = readout.level_clicks(THERMAL_SPAM.populations, 0.01, 0.02)
 
 
 def exact_dataset(protocol, truth, noise, shots=10 ** 6):
@@ -1101,7 +1101,7 @@ def calibration_stream(dim, trial):
     data = sim.run_protocol(
         protocols.spam_calibration_circuits(dim), None, noise, 10 ** 6,
         seed=qcore.derive_seed(STREAM_SEED, "qpt-calibration", trial))
-    clicks = readout.level_reads(dim, 0.01, 0.02) @ noise.spam.populations
+    clicks = readout.level_clicks(noise.spam.populations, 0.01, 0.02)
     reads = sim.simulate_level_reads(
         clicks, 10 ** 6, seed=qcore.derive_seed(STREAM_SEED, "qpt-level-reads", trial))
     return data, reads
@@ -1479,6 +1479,16 @@ class TestSpamGibbs:
         assert abs(report.estimate["temperature"] - 1.0) <= 0.05
         assert abs(report.estimate["b0"] - 0.01) <= 0.005
         assert abs(report.estimate["b1"] - 0.02) <= 0.005
+
+    @pytest.mark.parametrize("seed", [72, 73, 74])
+    def test_predicted_clicks_are_the_simulators_model(self, seed):
+        # the fit predicts with the model the reads are simulated from
+        reads = sim.simulate_level_reads(THERMAL_CLICKS, 10 ** 5, seed=seed)
+        report = recon.estimate_spam_gibbs(reads, np.array([0.0, 4.0, 6.0]))
+        est, diag = report.estimate, report.diagnostics
+        want = readout.level_clicks(diag["populations"], est["b0"], est["b1"])
+        assert np.array_equal(diag["predicted_click_probs"].view(np.uint64),
+                              want.view(np.uint64))
 
     def test_noiseless_boundary_solution(self):
         # perfect reads click exactly on the populated levels

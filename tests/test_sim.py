@@ -32,8 +32,8 @@ def random_noise_config(rng, dim):
     b = np.eye(dim)
     roll = rng.integers(3)
     if roll == 1:
-        reads = readout.level_reads(dim, float(rng.uniform(0, 0.2)),
-                                    float(rng.uniform(0, 0.2)))
+        reads = readout.level_clicks(np.eye(dim), float(rng.uniform(0, 0.2)),
+                                     float(rng.uniform(0, 0.2)))
         b = readout.cascade_response(reads[1:])
     elif roll == 2:
         b = rng.uniform(0.05, 1.0, size=(dim, dim))
@@ -311,7 +311,7 @@ class TestSpamModel:
 class TestLevelReads:
     def test_click_statistics_match_the_effect(self):
         a = THERMAL_SPAM.populations
-        clicks = readout.level_reads(3, 0.01, 0.02) @ a
+        clicks = readout.level_clicks(a, 0.01, 0.02)
         data = sim.simulate_level_reads(clicks, 3 * 10 ** 6, seed=11)
         assert data.counts.shape == (3, 2)
         assert data.labels == ("read0", "read1", "read2")
@@ -321,7 +321,7 @@ class TestLevelReads:
             assert abs(got - want) < 5 * np.sqrt(want * (1 - want) / data.shots[j])
 
     def test_deterministic_under_seed(self):
-        clicks = readout.level_reads(3, 0.05, 0.01) @ np.eye(3)[0]
+        clicks = readout.level_clicks(np.eye(3)[0], 0.05, 0.01)
         a = sim.simulate_level_reads(clicks, 1_000, seed=5)
         b = sim.simulate_level_reads(clicks, 1_000, seed=5)
         assert np.array_equal(a.counts, b.counts)
