@@ -295,8 +295,7 @@ def _qpt_trial(config, trial, noise, clicks):
     # the protocol is cached by dimension; every trial still asks for
     # it first, which is where perfbench/tracing.py opens a trial
     protocol = protocols.qpt_two_level(dim)
-    general, gibbs = _calibrate(config, noise, clicks, "qpt-calibration",
-                                "qpt-level-reads", trial)
+    general, gibbs = _calibrate(config, noise, clicks, "qpt", trial)
     _require_converged(general, "general calibration", "SPAM errors model 1",
                        config.calibration_shots, trial)
     _require_converged(gibbs, "thermal calibration", "SPAM errors model 2",
@@ -326,21 +325,21 @@ def _qpt_trial(config, trial, noise, clicks):
     return rows
 
 
-def _calibrate(config, noise, clicks, calibration_label, reads_label, trial=0):
+def _calibrate(config, noise, clicks, stream, trial=0):
     """Reports of the general and thermal calibration fits, converged or not.
 
-    Their data are drawn from the streams (seed, `calibration_label`,
-    trial) and (seed, `reads_label`, trial).
+    Their data come from the streams (seed, f"{stream}-calibration",
+    trial) and (seed, f"{stream}-level-reads", trial).
     """
     calibration = sim.run_protocol(
         protocols.spam_calibration_circuits(config.dim), None, noise,
         config.calibration_shots,
-        seed=qcore.derive_seed(config.seed, calibration_label, trial))
+        seed=qcore.derive_seed(config.seed, f"{stream}-calibration", trial))
     general = recon.estimate_spam_general(calibration,
                                           gate_depol_p=config.gate_depol_p)
     reads = sim.simulate_level_reads(
         clicks, config.calibration_shots,
-        seed=qcore.derive_seed(config.seed, reads_label, trial))
+        seed=qcore.derive_seed(config.seed, f"{stream}-level-reads", trial))
     return general, recon.estimate_spam_gibbs(reads, np.asarray(config.omegas))
 
 
@@ -384,8 +383,7 @@ def run_spam_fits(config):
         },
     }
     # an unconverged fit is reported, through its "converged" field
-    general, gibbs = _calibrate(config, noise, clicks, "spam-calibration",
-                                "spam-level-reads")
+    general, gibbs = _calibrate(config, noise, clicks, "spam")
     true_probs = sim.outcome_probabilities(
         protocols.spam_calibration_circuits(dim), None, noise)
     for key, fit, predicted, truth in (

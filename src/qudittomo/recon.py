@@ -286,13 +286,14 @@ def _hermitian_sum(model, w):
     return (s + qcore.dagger(s)) / 2
 
 
-def _optimality_gap(g, x, p, counts, dim_in):
+def _optimality_gap(model, x, p, counts):
     """Certified bound on ll* - ll at a feasible `x`, or None on PROB_FLOOR.
 
-    `x` is a Choi matrix (positive, Tr_out x = I) with a `dim_in`-dimensional
-    input: a process, or at dim_in = 1 a state.  ll = sum_n c_n log p_n with
-    p_n = Tr(A_n x) is concave with gradient G = `g` = sum_n (c_n / p_n) A_n,
-    and Tr(G x) = N shots, so for any Hermitian L and feasible y,
+    `x` is a Choi matrix (positive, Tr_out x = I) of `model` with a
+    dim_in-dimensional input: a process, or at dim_in = 1 a state.
+    ll = sum_n c_n log p_n with p_n = Tr(A_n x) = `p` is concave with
+    gradient G = sum_n (c_n / p_n) A_n, and Tr(G x) = N shots, so for
+    any Hermitian L and feasible y,
     ll(y) - ll <= Tr(G y) - N <= Tr L + dim_in lambda_max(G - L (x) I) - N
     ("Convex Optimization", Boyd & Vandenberghe 2004, ch. 5).  L is the
     Hermitian part of Tr_out(G x), which makes the bound 0 at the maximum,
@@ -301,7 +302,9 @@ def _optimality_gap(g, x, p, counts, dim_in):
     """
     if p.min() <= PROB_FLOOR:
         return None
-    d_out = x.shape[0] // dim_in
+    g = _hermitian_sum(model, counts / p)
+    d_out = model.dim
+    dim_in = x.shape[0] // d_out
     lam = np.einsum("iaja->ij", (g @ x).reshape(dim_in, d_out, dim_in, d_out))
     lam = (lam + qcore.dagger(lam)) / 2
     # L (x) I by broadcasting: the products of np.kron, at less overhead
@@ -410,7 +413,7 @@ def mle_state(data, model, pure=None):
         # ll never falls: once it fails the rank test, no bound can pass
         if pure is None or iteration % 4 != 1 or not _keeps_pure(ll, pure):
             return False
-        gap = _optimality_gap(_hermitian_sum(model, counts / p), rho, p, counts, 1)
+        gap = _optimality_gap(model, rho, p, counts)
         return gap is not None and _keeps_pure(ll + gap, pure)
 
     def candidate(r, rho):
@@ -424,7 +427,7 @@ def mle_state(data, model, pure=None):
         lambda step, cand, rho: (step / cand[1]) * cand[0] + (1.0 - step) * rho,
         early_stop)
     rho = (rho + qcore.dagger(rho)) / 2
-    gap = _optimality_gap(_hermitian_sum(model, counts / p), rho, p, counts, 1)
+    gap = _optimality_gap(model, rho, p, counts)
     return _fit_report(rho, model.probabilities(rho), data, iterations,
                        stop_reason, {"loglik_trace": np.asarray(trace),
                                      "gap_bound": gap})
@@ -734,11 +737,10 @@ def mle_process(data, model):
             if gain < FLOOR_GAIN * scale:
                 stop_reason = "tol"
                 break
-        elif iterations % 5 == 0:
-            g = _hermitian_sum(model, counts / p)
-            if _optimality_gap(g, choi, p, counts, dim) <= PROCESS_TOL:
-                stop_reason = "tol"
-                break
+        elif (iterations % 5 == 0
+              and _optimality_gap(model, choi, p, counts) <= PROCESS_TOL):
+            stop_reason = "tol"
+            break
         next_momentum = (1.0 + np.sqrt(1.0 + 4.0 * momentum ** 2)) / 2.0
         y = choi + ((momentum - 1.0) / next_momentum) * (choi - previous)
         momentum = next_momentum
@@ -748,8 +750,7 @@ def mle_process(data, model):
     tp_residual = float(np.abs(qcore.choi_output_trace(choi) - np.eye(dim)).max())
     # the bound, and so every stop above, assumes Tr_out J = I
     feasible = tp_residual <= qcore.ATOL_TRACE_PRESERVING
-    gap = (_optimality_gap(_hermitian_sum(model, counts / p), choi, p, counts, dim)
-           if feasible else None)
+    gap = _optimality_gap(model, choi, p, counts) if feasible else None
     return _fit_report(choi, model.probabilities(choi), data, iterations,
                        stop_reason if feasible else "infeasible",
                        {"gap_bound": gap, "tp_residual": tp_residual,

@@ -189,7 +189,7 @@ class CountsDataset:
             raise ValueError("labels, shots and counts do not line up")
         if counts.min() < 0:
             raise ValueError("counts must be nonnegative")
-        if not np.allclose(counts.sum(axis=1), shots):
+        if np.any(np.abs(counts.sum(axis=1) - shots) > 1e-9 * np.maximum(shots, 1)):
             raise ValueError("per-circuit counts must sum to the recorded shots")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "shots", shots)

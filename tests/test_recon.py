@@ -418,7 +418,7 @@ def reference_state_fit(data, model, rank_one=False, pure=None):
         r = hermitian_r(p)
         if (pure is not None and iterations % 4 == 1
                 and recon._keeps_pure(ll, pure)):
-            gap = recon._optimality_gap(r, x, p, counts, 1)
+            gap = recon._optimality_gap(model, x, p, counts)
             if gap is not None and recon._keeps_pure(ll + gap, pure):
                 stop_reason = "pure_kept"
                 break
@@ -1607,6 +1607,12 @@ class TestSpamGibbs:
                                  np.zeros((3, 2), dtype=int))
         with pytest.raises(ValueError):
             recon.estimate_spam_gibbs(zero, np.array([0.0, 4.0, 6.0]))
+
+    def test_rejects_reads_of_another_level_count(self):
+        reads = sim.simulate_level_reads(THERMAL_CLICKS, 10 ** 4, seed=76)
+        with pytest.raises(ValueError,
+                           match=r"counts shape \(3, 2\) does not match \(4, 2\)"):
+            recon.estimate_spam_gibbs(reads, np.array([0.0, 4.0, 6.0, 9.0]))
 
 
 class TestFitReportSerialization:

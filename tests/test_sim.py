@@ -265,6 +265,9 @@ class TestRunProtocol:
             sim.CountsDataset(("a", "b"), np.array([9]), np.array([[4, 5]]))
         with pytest.raises(ValueError, match="counts must be nonnegative"):
             sim.CountsDataset(("a",), np.array([0]), np.array([[2, -2]]))
+        # five counts short of a million shots is not a rounding error
+        with pytest.raises(ValueError, match="must sum to the recorded shots"):
+            sim.CountsDataset(("a",), [1_000_000], [[999_995, 0]])
 
 
 class TestSpamModel:
