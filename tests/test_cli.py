@@ -559,6 +559,16 @@ def test_qpt_models_at_d2_converges(tmp_path):
     assert report["spam_general"]["converged"] and report["spam_gibbs"]["converged"]
 
 
+def test_general_calibration_converges_where_its_barrier_path_stalled():
+    # from a first barrier weight of 1e3 the path ended pressed against one
+    # constraint, every centering at its step cap, and reported "stalled"
+    config = cli.ExperimentConfig(experiment="spam_fit", temperature=1.68, b0=0.0729,
+                                  b1=0.0927, omegas=(0.0, 1.8, 7.52), seed=8)
+    report = cli.run_spam_fits(config)
+    assert report["spam_general"]["diagnostics"]["stop_reason"] == "tol"
+    assert report["spam_general"]["converged"] and report["spam_gibbs"]["converged"]
+
+
 def test_qpt_output_does_not_depend_on_blas_threads(tmp_path):
     outputs = []
     for threads in ("1", "2"):

@@ -7,7 +7,6 @@ behavior at fixed seeds.
 """
 
 import json
-import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -552,17 +551,24 @@ class TestStateFitReports:
                  4: 16.918977604620447059, 5: 26.296227604864236145,
                  6: 37.652484133482774355, 7: 50.998460165710641649}
         for dim, quantile in exact.items():
-            want = recon._rank_threshold(dim)
-            assert abs(want - quantile) <= 2 * math.ulp(quantile)
-            # scipy's quantile is itself up to 1.3 ulp from the exact one
-            oracle = scipy.stats.chi2.ppf(recon.RANK_SIGNIFICANCE, (dim - 1) ** 2)
-            assert abs(want - oracle) <= 2 * math.ulp(quantile)
-            # the comparison is inclusive at the threshold
+            tail = recon._chi2_tail(quantile, (dim - 1) ** 2)
+            assert abs(tail - (1.0 - recon.RANK_SIGNIFICANCE)) <= 1e-15
+            # the test keeps pure just below the quantile, rejects it just above
             pure = SimpleNamespace(log_likelihood=0.0, estimate=np.eye(dim))
-            edge = SimpleNamespace(log_likelihood=want / 2)
-            above = SimpleNamespace(log_likelihood=want)
-            assert recon.select_rank(edge, pure) is pure
+            below = SimpleNamespace(log_likelihood=quantile * (1 - 1e-9) / 2)
+            above = SimpleNamespace(log_likelihood=quantile * (1 + 1e-9) / 2)
+            assert recon.select_rank(below, pure) is pure
             assert recon.select_rank(above, pure) is above
+            # an early-stopped full fit can lie below pure; the statistic is
+            # clamped at 0, whose square root the odd-dof tail takes
+            stopped = SimpleNamespace(log_likelihood=-5.0)
+            assert recon.select_rank(stopped, pure) is pure
+
+    def test_chi2_tail_matches_scipy(self):
+        for dof in range(1, 37):
+            x = np.linspace(0.0, 3 * dof + 30, 201)
+            got = [recon._chi2_tail(float(v), dof) for v in x]
+            np.testing.assert_allclose(got, scipy.stats.chi2.sf(x, dof), rtol=1e-13)
 
 
 def _rank_datasets():
@@ -1613,6 +1619,14 @@ class TestSpamGibbs:
         with pytest.raises(ValueError,
                            match=r"counts shape \(3, 2\) does not match \(4, 2\)"):
             recon.estimate_spam_gibbs(reads, np.array([0.0, 4.0, 6.0, 9.0]))
+
+    def test_rejects_the_general_calibration_data(self):
+        # at d = 2 the calibration circuits (bare, flip(0,1)) have the shape
+        # of two level reads, but they are not level reads
+        circuits = protocols.spam_calibration_circuits(2)
+        data = sim.run_protocol(circuits, None, calibration_noise(2), 10 ** 4, seed=77)
+        with pytest.raises(ValueError, match="do not match the level reads"):
+            recon.estimate_spam_gibbs(data, np.array(OMEGAS[2]))
 
 
 class TestFitReportSerialization:
